@@ -374,26 +374,29 @@ func BenchmarkMemCache(b *testing.B) {
 	}
 }
 
-// BenchmarkNUMANoC measures the multi-node system under the ideal
-// crossbar against the routed mesh at the same node count: the delta
-// is the cost of cycle-stepping the routers, buffers and credits.
+// benchmarkNUMANoC runs sg on an 8-node system over one interconnect
+// topology. BenchmarkNUMANoC measures the ideal crossbar against the
+// routed mesh at the same node count: the delta is the cost of
+// cycle-stepping the routers, buffers and credits.
+func benchmarkNUMANoC(b *testing.B, topo string) {
+	opts := mac3d.NUMAOptions{
+		Workload: "sg", Threads: 8, Nodes: 8, CoresPerNode: 1,
+		NoC: &mac3d.NoCOptions{Topology: topo, LinkLatencyNs: 25},
+	}
+	for i := 0; i < b.N; i++ {
+		rep, err := mac3d.RunNUMA(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.NoC == nil || rep.NoC.MessagesSent == 0 {
+			b.Fatal("no interconnect traffic")
+		}
+	}
+}
+
 func BenchmarkNUMANoC(b *testing.B) {
 	for _, topo := range []string{"ideal", "mesh"} {
-		b.Run(topo, func(b *testing.B) {
-			opts := mac3d.NUMAOptions{
-				Workload: "sg", Threads: 8, Nodes: 8, CoresPerNode: 1,
-				NoC: &mac3d.NoCOptions{Topology: topo, LinkLatencyNs: 25},
-			}
-			for i := 0; i < b.N; i++ {
-				rep, err := mac3d.RunNUMA(opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.NoC == nil || rep.NoC.MessagesSent == 0 {
-					b.Fatal("no interconnect traffic")
-				}
-			}
-		})
+		b.Run(topo, func(b *testing.B) { benchmarkNUMANoC(b, topo) })
 	}
 }
 
@@ -436,45 +439,6 @@ func BenchmarkTraceGeneration(b *testing.B) {
 // three WAL appends plus one content-addressed result write, no
 // fsync). Journal parse/fold micro-benches live in
 // internal/service/bench_test.go beside the unexported frame codec.
-
-// benchmarkNUMAParallel runs the 8-node NUMA system over the routed
-// mesh at a given worker count and reports simulated cycles per
-// wall-clock second — the tentpole metric for the parallel core. The
-// spec is identical at every worker count and the results are
-// bit-identical (see internal/numa parity tests), so the only thing
-// that moves is throughput.
-func benchmarkNUMAParallel(b *testing.B, workers int) {
-	opts := mac3d.NUMAOptions{
-		Workload:     "sg",
-		Threads:      32,
-		Seed:         1,
-		Nodes:        8,
-		CoresPerNode: 4,
-		Parallel:     workers,
-		NoC:          &mac3d.NoCOptions{Topology: "mesh"},
-	}
-	var cycles uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := mac3d.RunNUMA(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles += rep.Cycles
-	}
-	b.StopTimer()
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(cycles)/secs, "cycles/sec")
-	}
-}
-
-func BenchmarkNUMAParallel(b *testing.B) {
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			benchmarkNUMAParallel(b, w)
-		})
-	}
-}
 
 func benchService(b *testing.B, journalDir string) *service.Service {
 	b.Helper()
@@ -568,10 +532,8 @@ func TestWriteBenchSnapshot(t *testing.T) {
 		{"BenchmarkCubeFabric/ring,page=open", func(b *testing.B) { benchmarkCubeFabric(b, "ring,page=open") }},
 		{"BenchmarkServiceSubmit/journal=off", func(b *testing.B) { benchmarkServiceSubmit(b, false) }},
 		{"BenchmarkServiceSubmit/journal=on", func(b *testing.B) { benchmarkServiceSubmit(b, true) }},
-		{"BenchmarkNUMAParallel/workers=1", func(b *testing.B) { benchmarkNUMAParallel(b, 1) }},
-		{"BenchmarkNUMAParallel/workers=2", func(b *testing.B) { benchmarkNUMAParallel(b, 2) }},
-		{"BenchmarkNUMAParallel/workers=4", func(b *testing.B) { benchmarkNUMAParallel(b, 4) }},
-		{"BenchmarkNUMAParallel/workers=8", func(b *testing.B) { benchmarkNUMAParallel(b, 8) }},
+		{"BenchmarkNUMANoC/ideal", func(b *testing.B) { benchmarkNUMANoC(b, "ideal") }},
+		{"BenchmarkNUMANoC/mesh", func(b *testing.B) { benchmarkNUMANoC(b, "mesh") }},
 	}
 	type entry struct {
 		Name        string             `json:"name"`

@@ -12,15 +12,13 @@
 //	       [-audit] [-chaos-profile mild|storm|delay=0.01:16:32,...]
 //	       [-chaos-seed 1] [-retry 3] [-retry-backoff 32]
 //	macsim -workload sg -numa 8 [-numa-topology ideal|ring|mesh]
-//	       [-parallel 4] [-threads 8] [-scale ...] [-seed ...]
+//	       [-threads 8] [-scale ...] [-seed ...]
 //	       [-chaos-profile ...] [-retry ...]
 //	macsim -list
 //
 // -numa switches to the multi-node system: one MAC and HMC device per
-// node behind the selected interconnect. -parallel runs the node
-// phases on that many worker goroutines; the report is bit-identical
-// to a sequential run of the same spec (the printed report is
-// deterministic, so two invocations can be compared byte-for-byte).
+// node behind the selected interconnect. The printed report is
+// deterministic, so two invocations can be compared byte-for-byte.
 //
 // A run with -audit prints the request-lifecycle conservation report
 // and exits non-zero if any invariant was violated. -chaos-profile
@@ -62,7 +60,6 @@ func main() {
 	retryBackoff := flag.Int64("retry-backoff", 0, "cycles to wait before each re-issue")
 	numaNodes := flag.Int("numa", 0, "run the multi-node system with this many nodes (0: single node)")
 	numaTopo := flag.String("numa-topology", "", "NUMA interconnect: ideal, ring or mesh (default ideal)")
-	parallel := flag.Int("parallel", 0, "NUMA simulation worker goroutines (0 or 1: sequential; results are identical)")
 	flag.Parse()
 
 	if *list {
@@ -101,7 +98,6 @@ func main() {
 			Design:   design,
 			Frontend: *frontendFlag,
 			Nodes:    *numaNodes,
-			Parallel: *parallel,
 			Cube:     *cubeFlag,
 			Chaos:    mac3d.ChaosOptions{Profile: *chaosProfile, Seed: *chaosSeed},
 			Retry:    mac3d.RetryOptions{MaxRetries: *retryFlag, BackoffCycles: *retryBackoff},
@@ -319,7 +315,7 @@ func printRun(title string, r *mac3d.RunReport) {
 
 // printNUMA renders a NUMA report. Every line derives from report
 // fields in a fixed order, so the rendering is deterministic: two runs
-// of the same spec — at any worker count — print identical bytes.
+// of the same spec print identical bytes.
 func printNUMA(r *mac3d.NUMAReport) {
 	fmt.Printf("%s on %d nodes, %d threads\n", r.Workload, r.Nodes, r.Threads)
 	fmt.Printf("  cycles                  %d\n", r.Cycles)

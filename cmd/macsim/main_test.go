@@ -83,6 +83,22 @@ func TestMacsimSmoke(t *testing.T) {
 		}
 	})
 
+	// The NUMA report is deterministic, so a run must reproduce the
+	// captured bytes exactly.
+	t.Run("numa mesh golden", func(t *testing.T) {
+		out, err := exec.Command(bin, "-workload", "sg", "-numa", "8", "-numa-topology", "mesh").Output()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", "numa-sg-mesh8.golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(out) != string(want) {
+			t.Errorf("output differs from testdata/numa-sg-mesh8.golden:\n%s", out)
+		}
+	})
+
 	t.Run("bad flags exit nonzero", func(t *testing.T) {
 		for _, args := range [][]string{
 			{"-workload", "sg", "-scale", "galactic"},

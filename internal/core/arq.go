@@ -433,13 +433,6 @@ func (a *Aggregator) OccupancyMean() float64 {
 	return float64(a.occupancySum) / float64(a.occupancySamples)
 }
 
-// AvgOccupancy returns the mean ARQ occupancy.
-//
-// Deprecated: use OccupancyMean. The name survives for callers of the
-// old push-time-sampled metric; since the per-cycle sampling fix both
-// names report the same unbiased time average.
-func (a *Aggregator) AvgOccupancy() float64 { return a.OccupancyMean() }
-
 // attachObs wires the aggregator's counters into the run's registry
 // and enables span allocation when tracing is on.
 func (a *Aggregator) attachObs(o *obs.Obs) {

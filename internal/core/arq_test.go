@@ -264,13 +264,6 @@ func TestAggregatorOccupancyTracking(t *testing.T) {
 	if got := a.OccupancyMean(); got != want {
 		t.Fatalf("occupancy mean = %v, want %v", got, want)
 	}
-	// The deprecated accessor is an exact alias. This is its only
-	// remaining caller — the alias's own contract test; all other
-	// callers use OccupancyMean (staticcheck SA1019 holds the line
-	// for external packages).
-	if a.AvgOccupancy() != a.OccupancyMean() {
-		t.Fatal("AvgOccupancy diverged from OccupancyMean")
-	}
 }
 
 func TestAggregatorReset(t *testing.T) {

@@ -28,8 +28,6 @@ type idealFabric[P any] struct {
 	blockedSrc []bool
 	st         Stats
 	inflight   int
-	// sendPorts are the lazily built staging ports (see staged.go).
-	sendPorts []idealPort[P]
 }
 
 // idealMsg is one in-flight crossbar transfer.

@@ -69,8 +69,6 @@ type routedFabric[P any] struct {
 	st       Stats
 	inflight int
 	tracer   *obs.Tracer
-	// sendPorts are the lazily built staging ports (see staged.go).
-	sendPorts []routedPort[P]
 }
 
 func newRouted[P any](cfg Config) (*routedFabric[P], error) {

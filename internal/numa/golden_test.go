@@ -1,8 +1,13 @@
 package numa
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
+	"mac3d/internal/chaos"
+	"mac3d/internal/cpu"
+	"mac3d/internal/memreq"
 	"mac3d/internal/noc"
 	"mac3d/internal/sim"
 	"mac3d/internal/trace"
@@ -49,8 +54,7 @@ func goldMixTrace(seed uint64, threads, n int) *trace.Trace {
 // goldenCase pins one pre-NoC run: the expected numbers were captured
 // from the interconnect model as it existed before internal/noc, so
 // this test is the cycle-for-cycle compatibility contract of the
-// `ideal` topology (and of the deprecated LinkLatency/LinkBandwidth
-// alias fields that map onto it).
+// `ideal` topology.
 type goldenCase struct {
 	name     string
 	nodes    int
@@ -88,8 +92,7 @@ var saturatedCase = goldenCase{
 func (c goldenCase) config() Config {
 	cfg := DefaultConfig()
 	cfg.Nodes = c.nodes
-	cfg.LinkLatency = c.lat
-	cfg.LinkBandwidth = c.bw
+	cfg.NoC = noc.Config{Topology: noc.Ideal, LinkLatency: c.lat, LinkBandwidth: c.bw}
 	if c.inter != 0 {
 		cfg.InterleaveBytes = c.inter
 	}
@@ -113,8 +116,9 @@ func (c goldenCase) check(t *testing.T, res *Result) {
 }
 
 // TestGoldenIdealMatchesPreNoC replays the pinned pre-NoC runs through
-// the deprecated alias fields (empty NoC → ideal fabric). Any drift
-// here means old NUMA results are no longer reproducible.
+// an ideal fabric. Any drift here means old NUMA results are no longer
+// reproducible; mix-2n-lat0 also holds a zero latency to a zero-cycle
+// hop rather than a default.
 func TestGoldenIdealMatchesPreNoC(t *testing.T) {
 	for _, c := range goldenCases {
 		t.Run(c.name, func(t *testing.T) {
@@ -144,26 +148,215 @@ func TestSaturatedRemoteQueuePinned(t *testing.T) {
 	}
 }
 
-// TestGoldenExplicitIdealMatchesAlias runs the same cases with an
-// explicit NoC config instead of the deprecated fields: the two
-// spellings must be indistinguishable, including the zero-latency
-// case (lat=0 must stay 0, not turn into a default).
+// TestGoldenExplicitIdealMatchesAlias runs the same cases through the
+// two shorthand spellings of the ideal fabric: overriding only the
+// link fields of DefaultConfig's NoC, as the mac3d façade does, and a
+// NoC block with an empty Topology. Both must be indistinguishable
+// from the explicit noc.Ideal config, including the zero-latency case
+// (lat=0 must stay 0, not turn into a default).
 func TestGoldenExplicitIdealMatchesAlias(t *testing.T) {
 	for _, c := range goldenCases {
 		t.Run(c.name, func(t *testing.T) {
-			cfg := c.config()
-			cfg.LinkLatency = 0
-			cfg.LinkBandwidth = 0
-			cfg.NoC = noc.Config{
-				Topology:      noc.Ideal,
-				LinkLatency:   c.lat,
-				LinkBandwidth: c.bw,
+			override := c.config()
+			override.NoC = DefaultConfig().NoC
+			override.NoC.LinkLatency = c.lat
+			override.NoC.LinkBandwidth = c.bw
+			empty := c.config()
+			empty.NoC = noc.Config{LinkLatency: c.lat, LinkBandwidth: c.bw}
+			for _, cfg := range []Config{override, empty} {
+				res, err := Run(cfg, c.tr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.check(t, res)
 			}
-			res, err := Run(cfg, c.tr())
+		})
+	}
+}
+
+// TestParallelMatchesSequentialGolden runs every golden capture (plus
+// the RAQ-saturating shape) as several independent simulations at
+// once, the way experiments.Options.Parallel runs them: each
+// concurrent run must reproduce the sequential Result in full and the
+// pinned numbers bit for bit, so no state is shared between Systems.
+func TestParallelMatchesSequentialGolden(t *testing.T) {
+	const copies = 3
+	cases := append(append([]goldenCase{}, goldenCases...), saturatedCase)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			seq, err := Run(c.config(), c.tr())
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.check(t, res)
+			c.check(t, seq)
+			results := make([]*Result, copies)
+			errs := make([]error, copies)
+			var wg sync.WaitGroup
+			for i := range results {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					results[i], errs[i] = Run(c.config(), c.tr())
+				}(i)
+			}
+			wg.Wait()
+			for i, res := range results {
+				if errs[i] != nil {
+					t.Fatalf("copy %d: %v", i, errs[i])
+				}
+				if !reflect.DeepEqual(seq, res) {
+					t.Errorf("concurrent copy %d diverged from the sequential run: cycles=%d latSum=%d, want %d/%d",
+						i, res.Cycles, res.RequestLatency.Sum(), seq.Cycles, seq.RequestLatency.Sum())
+				}
+			}
 		})
 	}
+}
+
+// capture pins one run on a path the pre-NoC goldens do not reach:
+// routed fabrics, chaos link stalls, requester retry and every
+// coalescer frontend. The numbers were taken while a parallel core
+// still existed and matched these runs bit for bit, so they hold the
+// sequential loop to the results both cores agreed on. Beyond the
+// headline numbers a capture holds the interconnect's counters, so a
+// change in injection backpressure or delivery refusals shows up even
+// when the cycle count survives.
+type capture struct {
+	name     string
+	cfg      Config
+	tr       func() *trace.Trace
+	cycles   sim.Cycle
+	remote   uint64
+	latSum   uint64
+	latCount uint64
+	// sent and delivered count fabric messages; rejects and retries
+	// count injection and delivery refusals.
+	sent, delivered, rejects, retries uint64
+}
+
+func (c capture) run(t *testing.T) *Result {
+	t.Helper()
+	res, err := Run(c.cfg, c.tr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"cycles", uint64(res.Cycles), uint64(c.cycles)},
+		{"remote requests", res.RemoteRequests, c.remote},
+		{"latency sum", res.RequestLatency.Sum(), c.latSum},
+		{"latency count", res.RequestLatency.Count(), c.latCount},
+		{"noc sent", res.NoC.Sent, c.sent},
+		{"noc delivered", res.NoC.Delivered, c.delivered},
+		{"noc inject rejects", res.NoC.InjectRejects, c.rejects},
+		{"noc deliver retries", res.NoC.DeliverRetries, c.retries},
+	} {
+		if f.got != f.want {
+			t.Errorf("%s = %d, want %d", f.name, f.got, f.want)
+		}
+	}
+	return res
+}
+
+func runCaptures(t *testing.T, cs []capture) {
+	for _, c := range cs {
+		t.Run(c.name, func(t *testing.T) { c.run(t) })
+	}
+}
+
+// nodesConfig is the default system resized to nodes×cores.
+func nodesConfig(nodes, cores int) Config {
+	cfg := DefaultConfig()
+	cfg.Nodes = nodes
+	cfg.CoresPerNode = cores
+	return cfg
+}
+
+// routedConfig is nodesConfig on a routed fabric.
+func routedConfig(topo string, nodes, cores int, lat sim.Cycle, bw int) Config {
+	cfg := nodesConfig(nodes, cores)
+	cfg.NoC = noc.Config{Topology: topo, LinkLatency: lat, LinkBandwidth: bw}
+	return cfg
+}
+
+// chaosConfig overlays a chaos preset with the link stressor (the one
+// that acts at NUMA level) on an 8-node ring.
+func chaosConfig(t *testing.T, preset string, seed uint64) Config {
+	p, err := chaos.ParseProfile(preset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.LinkRate = 0.05
+	p.LinkStall = 150
+	p.Seed = seed
+	cfg := routedConfig(noc.Ring, 8, 1, 5, 1)
+	cfg.Chaos = p
+	return cfg
+}
+
+// TestGoldenRouted pins the ring and mesh fabrics under a mixed
+// load/store trace, and a 16-node mesh whose injection queues and
+// Remote Access Queues both saturate.
+func TestGoldenRouted(t *testing.T) {
+	mix := func() *trace.Trace { return goldMixTrace(11, 8, 600) }
+	runCaptures(t, []capture{
+		{"ring", routedConfig(noc.Ring, 8, 2, 5, 1), mix,
+			969, 529, 282500, 600, 1070, 1070, 13, 0},
+		{"mesh", routedConfig(noc.Mesh, 8, 2, 5, 1), mix,
+			949, 529, 275041, 600, 1070, 1070, 0, 0},
+		{"mesh-16n", routedConfig(noc.Mesh, 16, 1, 3, 2), func() *trace.Trace { return goldTrace(16, 48) },
+			24475, 720, 11603486, 768, 1440, 1440, 1433, 1493},
+	})
+}
+
+// TestGoldenChaos pins chaos runs, whose RNG schedules are sensitive
+// to the order of every roll, across the mild and storm presets and a
+// seed sweep.
+func TestGoldenChaos(t *testing.T) {
+	tr := func() *trace.Trace { return goldTrace(8, 48) }
+	runCaptures(t, []capture{
+		{"mild-seed1", chaosConfig(t, "mild", 1), tr, 22476, 336, 4219120, 384, 672, 672, 1485, 0},
+		{"mild-seed42", chaosConfig(t, "mild", 42), tr, 20470, 336, 3839610, 384, 672, 672, 348, 142},
+		{"mild-seed9001", chaosConfig(t, "mild", 9001), tr, 22222, 336, 4081570, 384, 672, 672, 898, 49},
+		{"storm-seed1", chaosConfig(t, "storm", 1), tr, 22358, 336, 4098596, 384, 672, 672, 621, 59},
+		{"storm-seed42", chaosConfig(t, "storm", 42), tr, 20965, 336, 3854921, 384, 672, 672, 649, 131},
+		{"storm-seed9001", chaosConfig(t, "storm", 9001), tr, 22316, 336, 3915206, 384, 672, 672, 814, 114},
+	})
+}
+
+// TestGoldenRetry pins CRC-poisoned completions re-issued at each
+// thread's home node.
+func TestGoldenRetry(t *testing.T) {
+	cfg := nodesConfig(4, 2)
+	cfg.HMC.Faults.CRCErrorRate = 0.3
+	cfg.HMC.Faults.RetryLimit = 1
+	cfg.HMC.Faults.Seed = 5
+	cfg.Retry = memreq.RetryPolicy{MaxRetries: 8, Backoff: 16}
+	c := capture{"retry", cfg, func() *trace.Trace { return goldTrace(8, 64) },
+		27796, 384, 7110920, 512, 1014, 1014, 0, 9398}
+	res := c.run(t)
+	if res.RetriedRequests != 137 || res.FailedRequests != 0 {
+		t.Errorf("retried/failed = %d/%d, want 137/0", res.RetriedRequests, res.FailedRequests)
+	}
+}
+
+// TestGoldenKinds pins every coalescer frontend on one trace,
+// including the warp frontend's suspend/resume scoreboard and the
+// memcache frontend's zero-target writebacks.
+func TestGoldenKinds(t *testing.T) {
+	kind := func(k cpu.CoalescerKind) Config {
+		cfg := nodesConfig(4, 2)
+		cfg.Kind = k
+		return cfg
+	}
+	mix := func() *trace.Trace { return goldMixTrace(7, 8, 400) }
+	runCaptures(t, []capture{
+		{"mac", kind(cpu.WithMAC), mix, 1432, 293, 345622, 400, 594, 594, 0, 0},
+		{"raw", kind(cpu.WithoutMAC), mix, 1412, 293, 341457, 400, 586, 586, 0, 0},
+		{"mshr", kind(cpu.WithMSHR), mix, 1724, 293, 386085, 400, 586, 586, 0, 0},
+		{"warp", kind(cpu.WithWarp), mix, 4016, 293, 821542, 400, 586, 586, 0, 0},
+		{"memcache", kind(cpu.WithMemCache), mix, 1890, 293, 390626, 400, 586, 586, 0, 0},
+	})
 }

@@ -17,8 +17,6 @@ package numa
 
 import (
 	"fmt"
-	"runtime"
-	"sync/atomic"
 
 	"mac3d/internal/addr"
 	"mac3d/internal/chaos"
@@ -43,23 +41,11 @@ type Config struct {
 	// InterleaveBytes is the block size of the global address
 	// interleave across nodes (default: one 256B row).
 	InterleaveBytes uint64
-	// LinkLatency is the one-way inter-node hop latency in cycles.
-	//
-	// Deprecated: LinkLatency and LinkBandwidth are aliases kept for
-	// pre-NoC configurations. When NoC.Topology is empty they
-	// parameterize an ideal fabric with the original semantics;
-	// otherwise NoC wins and they are ignored.
-	LinkLatency sim.Cycle
-	// LinkBandwidth bounds messages per cycle per direction on each
-	// node's interconnect port.
-	//
-	// Deprecated: see LinkLatency.
-	LinkBandwidth int
-	// NoC selects and parameterizes the interconnect fabric. The zero
-	// value (empty Topology) falls back to an ideal fabric built from
-	// the deprecated LinkLatency/LinkBandwidth fields — bit-identical
-	// to the pre-NoC point-to-point model. NoC.Nodes may be left 0 to
-	// inherit Nodes; a non-zero value must agree with it.
+	// NoC selects and parameterizes the interconnect fabric; an empty
+	// Topology means ideal, whose LinkLatency and LinkBandwidth are
+	// the one-way hop latency and the per-node request messages per
+	// cycle of the pre-NoC point-to-point model. NoC.Nodes may be left
+	// 0 to inherit Nodes; a non-zero value must agree with it.
 	NoC noc.Config
 	// Chaos injects deterministic adversity into the run. Only the
 	// link stressor acts at the NUMA level (transient NoC link stalls,
@@ -91,26 +77,17 @@ type Config struct {
 	// completions are re-issued by the originating node's router up
 	// to the policy's budget. The zero value keeps fail-on-poison.
 	Retry memreq.RetryPolicy
-	// Workers selects the parallel execution mode: node phases run on
-	// this many goroutines, synchronized at a per-cycle barrier where
-	// staged cross-node traffic merges in node order (see DESIGN §13).
-	// Results are bit-identical to the sequential core. 0 or 1 runs
-	// sequentially; values above Nodes are clamped. Transaction
-	// tracing (ObserveOptions.Trace) shares one tracer across nodes,
-	// so a tracing run falls back to sequential execution — the
-	// results are identical either way.
-	Workers int
 }
 
-// DefaultConfig returns a 2-node system with Table 1 nodes and a
-// 100ns-class interconnect hop.
+// DefaultConfig returns a 2-node system with Table 1 nodes and an
+// ideal interconnect: a 100ns-class hop (330 cycles at 3.3 GHz) and
+// two request messages per node per cycle.
 func DefaultConfig() Config {
 	return Config{
 		Nodes:           2,
 		CoresPerNode:    8,
 		InterleaveBytes: addr.RowBytes,
-		LinkLatency:     330, // ~100ns at 3.3 GHz
-		LinkBandwidth:   2,
+		NoC:             noc.Config{Topology: noc.Ideal, LinkLatency: 330, LinkBandwidth: 2},
 		MAC:             core.DefaultConfig(),
 		HMC:             hmc.DefaultConfig(),
 		SPMLatency:      4,
@@ -127,14 +104,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("numa: Nodes must be positive, got %d", c.Nodes)
 	case c.CoresPerNode <= 0:
 		return fmt.Errorf("numa: CoresPerNode must be positive, got %d", c.CoresPerNode)
-	case c.NoC.Topology == "" && c.LinkBandwidth <= 0:
-		return fmt.Errorf("numa: LinkBandwidth must be positive, got %d", c.LinkBandwidth)
 	case c.MaxOutstanding <= 0:
 		return fmt.Errorf("numa: MaxOutstanding must be positive, got %d", c.MaxOutstanding)
 	case c.MaxCycles == 0:
 		return fmt.Errorf("numa: MaxCycles must be positive")
-	case c.Workers < 0:
-		return fmt.Errorf("numa: Workers must be non-negative, got %d", c.Workers)
 	}
 	if c.NoC.Nodes != 0 && c.NoC.Nodes != c.Nodes {
 		return fmt.Errorf("numa: NoC.Nodes=%d disagrees with Nodes=%d (leave it 0 to inherit)",
@@ -178,20 +151,9 @@ func (c Config) coalescerConfig() cpu.RunConfig {
 	return rc
 }
 
-// nocConfig resolves the effective fabric configuration: Config.NoC
-// when set, else an ideal fabric carrying the deprecated
-// LinkLatency/LinkBandwidth fields (including a legal zero latency).
+// nocConfig is Config.NoC spanning every node, defaults filled.
 func (c Config) nocConfig() noc.Config {
 	n := c.NoC
-	if n.Topology == "" {
-		n.Topology = noc.Ideal
-		if n.LinkLatency == 0 {
-			n.LinkLatency = c.LinkLatency
-		}
-		if n.LinkBandwidth == 0 {
-			n.LinkBandwidth = c.LinkBandwidth
-		}
-	}
 	n.Nodes = c.Nodes
 	return n.WithDefaults()
 }
@@ -255,7 +217,7 @@ type node struct {
 	mac *core.MAC
 	// rec is coal's recycling hook when it offers one: fully consumed
 	// Builts hand their target slabs back, keeping the pop path
-	// allocation-free. Node-local, so safe in the parallel node phase.
+	// allocation-free.
 	rec     memreq.Recycler
 	dev     *hmc.Device
 	threads []*threadState // threads homed on this node
@@ -270,28 +232,10 @@ type node struct {
 	// respOut parks response messages the fabric refused (routed
 	// topologies backpressure injection); drained before requests.
 	respOut []noc.Message[payload]
-	// port is this node's staged fabric injection port: accept/refuse
-	// is decided immediately, but nothing enters the shared fabric
-	// until the per-cycle barrier flush (noc.PortFabric).
-	port noc.SendPort[payload]
 
 	remoteServed uint64 // requests served for other nodes
 	remoteSent   uint64 // requests sent to other nodes
 
-	// Per-node shards of what used to be system-global accounting.
-	// Every mutation below is proven home-node-local: a node phase
-	// only ever touches its own shard (remote retirements travel over
-	// the fabric and land in the barrier phase), which is what lets
-	// node phases run on worker goroutines without locks. Totals are
-	// summed at the barrier / in result().
-	progress         uint64
-	memRequests      uint64
-	spmAccesses      uint64
-	remoteReqs       uint64
-	failedRequests   uint64
-	retriedRequests  uint64
-	retireUnderflows uint64
-	misrouted        uint64
 	// inflightReq remembers the raw request behind each in-flight
 	// (thread, tag) homed on this node, so a poisoned completion can
 	// be re-issued; populated only while Config.Retry is on.
@@ -353,11 +297,8 @@ func (r *Result) RemoteFraction() float64 {
 type System struct {
 	cfg   Config
 	nodes []*node
-	// fab is the interconnect carrying Global/Remote traffic; pfab is
-	// the same fabric's staged-injection view (both engines implement
-	// it), through which all node-phase sends go.
-	fab  noc.Fabric[payload]
-	pfab noc.PortFabric[payload]
+	// fab is the interconnect carrying Global/Remote traffic.
+	fab noc.Fabric[payload]
 	// reqBudget bounds request injections per node per cycle: the
 	// ideal fabric keeps the legacy LinkBandwidth messages-per-cycle
 	// semantics; routed fabrics backpressure through Send instead.
@@ -371,6 +312,16 @@ type System struct {
 	// obs is the run's observability handle; nil when disabled.
 	obs      *obs.Obs
 	watchdog *sim.Watchdog
+	// progress counts forward-progress events for the watchdog.
+	progress uint64
+	// System-wide Result counters.
+	memRequests      uint64
+	spmAccesses      uint64
+	remoteReqs       uint64
+	failedRequests   uint64
+	retriedRequests  uint64
+	retireUnderflows uint64
+	misrouted        uint64
 }
 
 // reqKey identifies one in-flight raw request system-wide (thread ids
@@ -421,12 +372,6 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	s.chaos = eng
 	s.chaos.SetLinks(s.fab.Links())
-	pfab, ok := fab.(noc.PortFabric[payload])
-	if !ok {
-		return nil, fmt.Errorf("numa: fabric %q does not support staged ports", ncfg.Topology)
-	}
-	s.pfab = pfab
-	ports := pfab.Ports()
 	for i := 0; i < cfg.Nodes; i++ {
 		rcfg := core.DefaultRouterConfig()
 		rcfg.NodeID = i
@@ -450,7 +395,6 @@ func NewSystem(cfg Config) (*System, error) {
 			coal:   coal,
 			dev:    dev,
 			resp:   core.NewResponseRouter(0),
-			port:   ports[i],
 		}
 		if mac, ok := coal.(*core.MAC); ok {
 			nd.mac = mac
@@ -486,13 +430,7 @@ func (s *System) AttachObs(o *obs.Obs) {
 		}
 		nd.dev.AttachObs(po)
 	}
-	o.Reg().Func("numa.remote_requests", func() float64 {
-		var n uint64
-		for _, nd := range s.nodes {
-			n += nd.remoteReqs
-		}
-		return float64(n)
-	})
+	o.Reg().Func("numa.remote_requests", func() float64 { return float64(s.remoteReqs) })
 	o.Rec().Watch("numa.net.inflight", func() float64 { return float64(s.fab.InFlight()) })
 	s.fab.AttachObs(o)
 }
@@ -537,147 +475,29 @@ func (s *System) thread(id uint16) *threadState {
 	return nil
 }
 
-// Run replays the loaded trace to completion. With Config.Workers > 1
-// the node phases of each cycle run on worker goroutines; the results
-// are bit-identical to the sequential core (both modes share the same
-// phase code and the same barrier-ordered traffic merge).
+// Run replays the loaded trace to completion. Each cycle ticks every
+// node in id order, then advances the fabric, lands its arrivals,
+// samples the recorder and checks the exit conditions.
 func (s *System) Run() (*Result, error) {
-	workers := s.effectiveWorkers()
-	if workers > 1 {
-		return s.runParallel(workers)
-	}
 	for now := sim.Cycle(0); now < s.cfg.MaxCycles; now++ {
 		s.tickChaos(now)
 		for _, nd := range s.nodes {
-			s.phaseNode(nd, now)
+			s.pumpRetries(nd, now)
+			nd.sentThisCycle = 0
+			s.tickThreads(nd, now)
+			s.pumpInterconnect(nd, now)
+			nd.router.DrainToMAC(nd.coal, now)
+			s.tickCoalescer(nd, now)
+			s.deliverResponses(nd, now)
 		}
-		done, res, err := s.barrier(now)
-		if done {
-			return res, err
+		s.fab.Tick(now)
+		s.deliverMessages(now)
+		s.obs.Rec().Sample(uint64(now))
+		if s.drained() {
+			return s.result(now + 1), nil
 		}
-	}
-	return nil, fmt.Errorf("numa: run exceeded MaxCycles=%d", s.cfg.MaxCycles)
-}
-
-// effectiveWorkers resolves Config.Workers: clamped to the node count,
-// and forced to 1 while transaction tracing is on (the tracer is one
-// shared append buffer; see Config.Workers).
-func (s *System) effectiveWorkers() int {
-	w := s.cfg.Workers
-	if w > s.cfg.Nodes {
-		w = s.cfg.Nodes
-	}
-	if s.obs.Tracing() {
-		w = 1
-	}
-	return w
-}
-
-// phaseNode is one node's slice of a cycle. It touches only nd's own
-// state, nd's staging port, and read-only shared configuration —
-// the property that makes the parallel mode race-free and the merge
-// deterministic.
-func (s *System) phaseNode(nd *node, now sim.Cycle) {
-	s.pumpRetries(nd, now)
-	nd.sentThisCycle = 0
-	s.tickThreads(nd, now)
-	s.pumpInterconnect(nd, now)
-	nd.router.DrainToMAC(nd.coal, now)
-	s.tickCoalescer(nd, now)
-	s.deliverResponses(nd, now)
-}
-
-// barrier is the sequential tail of every cycle: staged traffic merges
-// into the fabric in node order, the fabric advances, arrivals land,
-// the recorder samples, and the exit conditions are checked. It
-// returns done=true when the run finished (res/err carry the outcome).
-func (s *System) barrier(now sim.Cycle) (done bool, res *Result, err error) {
-	s.pfab.FlushPorts(now)
-	s.fab.Tick(now)
-	s.deliverMessages(now)
-	s.obs.Rec().Sample(uint64(now))
-	if s.drained() {
-		return true, s.result(now + 1), nil
-	}
-	if s.watchdog.Check(now, s.progressTotal()) {
-		return true, nil, s.stallError(now)
-	}
-	return false, nil, nil
-}
-
-// progressTotal sums the per-node progress shards for the watchdog.
-func (s *System) progressTotal() uint64 {
-	var n uint64
-	for _, nd := range s.nodes {
-		n += nd.progress
-	}
-	return n
-}
-
-// parSpinBudget is how many times a barrier wait polls before
-// yielding. On a host with a free core per worker the poll succeeds
-// within the budget and synchronization costs nanoseconds; on an
-// oversubscribed host the Gosched turns the wait into cooperative
-// scheduling instead of burning the timeslice.
-const parSpinBudget = 64
-
-// spinUntil polls cond, yielding the processor after the spin budget.
-func spinUntil(cond func() bool) {
-	for spins := 0; !cond(); spins++ {
-		if spins >= parSpinBudget {
-			runtime.Gosched()
-		}
-	}
-}
-
-// runParallel is the worker-goroutine cycle loop. Worker w owns nodes
-// w, w+workers, w+2*workers, ... for the whole run, so each node's
-// state has a single writer for the entire run.
-//
-// The per-cycle barrier is a pair of atomics rather than channels: the
-// coordinator publishes cycle c by storing epoch=c+1 (a release that
-// makes the previous barrier's fabric mutations visible), each worker
-// runs its node phases and decrements pending (a release making its
-// staged traffic visible), and the coordinator proceeds into the
-// sequential barrier phase once pending drains. A channel handoff
-// costs a park/unpark pair per worker per cycle — microseconds, which
-// at sub-microsecond node phases inverted the speedup; the spinning
-// barrier synchronizes in tens of nanoseconds when cores are
-// available.
-func (s *System) runParallel(workers int) (*Result, error) {
-	var (
-		epoch   atomic.Uint64 // cycle+1 of the phase being run; 0 = idle
-		pending atomic.Int64  // workers still in the current phase
-		stop    atomic.Bool
-	)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			var seen uint64
-			for {
-				spinUntil(func() bool {
-					return epoch.Load() != seen || stop.Load()
-				})
-				if stop.Load() {
-					return
-				}
-				seen = epoch.Load()
-				now := sim.Cycle(seen - 1)
-				for i := w; i < len(s.nodes); i += workers {
-					s.phaseNode(s.nodes[i], now)
-				}
-				pending.Add(-1)
-			}
-		}(w)
-	}
-	defer stop.Store(true)
-	for now := sim.Cycle(0); now < s.cfg.MaxCycles; now++ {
-		s.tickChaos(now)
-		pending.Store(int64(workers))
-		epoch.Store(uint64(now) + 1)
-		spinUntil(func() bool { return pending.Load() == 0 })
-		done, res, err := s.barrier(now)
-		if done {
-			return res, err
+		if s.watchdog.Check(now, s.progress) {
+			return nil, s.stallError(now)
 		}
 	}
 	return nil, fmt.Errorf("numa: run exceeded MaxCycles=%d", s.cfg.MaxCycles)
@@ -714,7 +534,7 @@ func (s *System) tickThreads(nd *node, now sim.Cycle) {
 		if t.gapLeft > 0 {
 			t.gapLeft--
 			t.retired++
-			nd.progress++
+			s.progress++
 			continue
 		}
 		if t.pc >= len(t.events) {
@@ -724,8 +544,8 @@ func (s *System) tickThreads(nd *node, now sim.Cycle) {
 		if e.Op.IsMemory() && addr.IsSPM(e.Addr) {
 			t.spmBusy = now + s.cfg.SPMLatency
 			t.retired++
-			nd.progress++
-			nd.spmAccesses++
+			s.progress++
+			s.spmAccesses++
 			s.advance(t)
 			continue
 		}
@@ -737,7 +557,7 @@ func (s *System) tickThreads(nd *node, now sim.Cycle) {
 				continue
 			}
 			t.retired++
-			nd.progress++
+			s.progress++
 			s.advance(t)
 			continue
 		}
@@ -759,13 +579,13 @@ func (s *System) tickThreads(nd *node, now sim.Cycle) {
 		t.outstanding++
 		t.issuedAt[req.Tag] = now
 		t.retired++
-		nd.progress++
-		nd.memRequests++
+		s.progress++
+		s.memRequests++
 		if s.cfg.Retry.Enabled() {
 			nd.inflightReq[reqKey{req.Thread, req.Tag}] = &reqAttempt{req: req}
 		}
 		if nd.router.Dest(e.Addr) != nd.id {
-			nd.remoteReqs++
+			s.remoteReqs++
 			nd.remoteSent++
 		}
 		s.advance(t)
@@ -795,18 +615,18 @@ func (s *System) tickChaos(now sim.Cycle) {
 	}
 }
 
-// pumpInterconnect moves outbound traffic from the node onto its
-// staging port: first any responses the fabric refused earlier, then
+// pumpInterconnect moves outbound traffic from the node onto the
+// fabric: first any responses the fabric refused earlier, then
 // requests from the Global Access Queue. The ideal fabric's request
 // budget is LinkBandwidth messages per cycle (legacy semantics);
 // routed fabrics pump until the injection queue refuses.
 func (s *System) pumpInterconnect(nd *node, now sim.Cycle) {
 	for len(nd.respOut) > 0 {
-		if !nd.port.Send(now, nd.respOut[0]) {
+		if !s.fab.Send(now, nd.respOut[0]) {
 			return
 		}
 		nd.respOut = nd.respOut[1:]
-		nd.progress++
+		s.progress++
 	}
 	for nd.sentThisCycle < s.reqBudget {
 		out, ok := nd.router.PeekOutbound()
@@ -819,7 +639,7 @@ func (s *System) pumpInterconnect(nd *node, now sim.Cycle) {
 			Flits:   reqFlits(out.Req),
 			Payload: payload{req: out.Req},
 		}
-		if !nd.port.Send(now, m) {
+		if !s.fab.Send(now, m) {
 			return
 		}
 		nd.router.PopOutbound()
@@ -839,7 +659,7 @@ func (s *System) tickCoalescer(nd *node, now sim.Cycle) {
 		nd.resp.Register(&bb, now)
 		bb.Span.MarkSubmit(uint64(now))
 		nd.dev.Submit(bb.Req, now)
-		nd.progress++
+		s.progress++
 	}
 }
 
@@ -855,7 +675,7 @@ func (s *System) deliverResponses(nd *node, now sim.Cycle) {
 		}
 		poisoned := status == core.RespPoisoned
 		nd.coal.Completed(b)
-		nd.progress++
+		s.progress++
 		b.Span.MarkRespond(uint64(now))
 		s.obs.Trace().Transaction(resp.Tag, b.Span)
 		for _, tgt := range b.Targets {
@@ -871,7 +691,7 @@ func (s *System) deliverResponses(nd *node, now sim.Cycle) {
 				Flits:   respFlits(b.Req.Kind),
 				Payload: payload{isResponse: true, poisoned: poisoned, target: tgt},
 			}
-			if !nd.port.Send(now, m) {
+			if !s.fab.Send(now, m) {
 				// Routed-fabric backpressure: park the response and
 				// retry it (ahead of requests) next cycle. The ideal
 				// fabric never refuses.
@@ -901,10 +721,9 @@ func (s *System) deliverMessages(now sim.Cycle) {
 	})
 }
 
-// retire lands one target at its thread's home node. It only ever
-// runs home-node-locally: during a node phase for home == nd.id
-// targets, or in the barrier phase for responses that arrived over
-// the fabric — so the home shard mutations below never race.
+// retire lands one target at its thread's home node: directly when
+// the serving node is the home, or when the response arrives over the
+// fabric.
 func (s *System) retire(tgt memreq.Target, now sim.Cycle, poisoned bool) {
 	if tgt.Cont {
 		// Continuation half of a window-split request: the head half
@@ -916,11 +735,11 @@ func (s *System) retire(tgt memreq.Target, now sim.Cycle, poisoned bool) {
 	if t == nil {
 		// A corrupt target naming a thread the system does not run:
 		// count it and keep going rather than tearing the run down.
-		home.misrouted++
+		s.misrouted++
 		return
 	}
 	if t.outstanding <= 0 {
-		home.retireUnderflows++
+		s.retireUnderflows++
 		return
 	}
 	if poisoned && s.scheduleRetry(home, tgt, now) {
@@ -929,9 +748,9 @@ func (s *System) retire(tgt memreq.Target, now sim.Cycle, poisoned bool) {
 		return
 	}
 	t.outstanding--
-	home.progress++
+	s.progress++
 	if poisoned {
-		home.failedRequests++
+		s.failedRequests++
 	}
 	if s.cfg.Retry.Enabled() {
 		delete(home.inflightReq, reqKey{tgt.Thread, tgt.Tag})
@@ -959,9 +778,8 @@ func (s *System) scheduleRetry(home *node, tgt memreq.Target, now sim.Cycle) boo
 }
 
 // pumpRetries re-offers nd's poisoned requests whose backoff expired;
-// a full router queue retries next cycle. Retry state shards by home
-// node (requests re-issue where their thread lives), so this runs
-// inside the node phase.
+// a full router queue retries next cycle. Requests re-issue at the
+// node their thread lives on.
 func (s *System) pumpRetries(nd *node, now sim.Cycle) {
 	if len(nd.retryPend) == 0 {
 		return
@@ -972,8 +790,8 @@ func (s *System) pumpRetries(nd *node, now sim.Cycle) {
 			keep = append(keep, p)
 			continue
 		}
-		nd.retriedRequests++
-		nd.progress++
+		s.retriedRequests++
+		s.progress++
 	}
 	nd.retryPend = keep
 }
@@ -999,18 +817,16 @@ func (s *System) drained() bool {
 
 func (s *System) result(cycles sim.Cycle) *Result {
 	r := &Result{
-		Cycles: cycles,
-		NoC:    s.fab.Stats(),
-		Chaos:  s.chaos.Stats(),
-	}
-	for _, nd := range s.nodes {
-		r.MemRequests += nd.memRequests
-		r.SPMAccesses += nd.spmAccesses
-		r.RemoteRequests += nd.remoteReqs
-		r.FailedRequests += nd.failedRequests
-		r.RetriedRequests += nd.retriedRequests
-		r.RetireUnderflows += nd.retireUnderflows
-		r.Misrouted += nd.misrouted
+		Cycles:           cycles,
+		MemRequests:      s.memRequests,
+		SPMAccesses:      s.spmAccesses,
+		RemoteRequests:   s.remoteReqs,
+		FailedRequests:   s.failedRequests,
+		RetriedRequests:  s.retriedRequests,
+		RetireUnderflows: s.retireUnderflows,
+		Misrouted:        s.misrouted,
+		NoC:              s.fab.Stats(),
+		Chaos:            s.chaos.Stats(),
 	}
 	for _, nd := range s.nodes {
 		for _, t := range nd.threads {

@@ -34,7 +34,7 @@ func TestConfigValidate(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Nodes = 0 },
 		func(c *Config) { c.CoresPerNode = 0 },
-		func(c *Config) { c.LinkBandwidth = 0 },
+		func(c *Config) { c.NoC.LinkBandwidth = -1 },
 		func(c *Config) { c.MaxOutstanding = 0 },
 		func(c *Config) { c.MaxCycles = 0 },
 		func(c *Config) { c.MAC.ARQ.Entries = 0 },
@@ -92,9 +92,9 @@ func TestTwoNodesSplitTraffic(t *testing.T) {
 
 func TestRemoteLatencyVisible(t *testing.T) {
 	near := DefaultConfig()
-	near.LinkLatency = 10
+	near.NoC.LinkLatency = 10
 	far := DefaultConfig()
-	far.LinkLatency = 2000
+	far.NoC.LinkLatency = 2000
 	tr := seqTrace(4, 64)
 	a, err := Run(near, tr)
 	if err != nil {
@@ -204,7 +204,7 @@ func TestConservationProperty(t *testing.T) {
 		cfg.Nodes = nodes
 		cfg.CoresPerNode = 8
 		cfg.InterleaveBytes = inter
-		cfg.LinkLatency = sim.Cycle(1 + latRaw%200)
+		cfg.NoC.LinkLatency = sim.Cycle(1 + latRaw%200)
 
 		tr := trace.NewTrace(4)
 		x := seed | 1

@@ -69,23 +69,44 @@ type Spec struct {
 // before JSON decoding.
 const maxSpecBytes = 1 << 20
 
+// specWire is the shape ParseSpec decodes: a Spec whose numa block may
+// also carry "parallel", the host worker count of the former parallel
+// NUMA core. It never changed a result, so specs and journal records
+// that set it still parse; the value is checked and dropped, and the
+// spec hashes as if it were absent. The outer NUMA field shadows
+// Spec.NUMA for the "numa" key.
+type specWire struct {
+	Spec
+	NUMA *struct {
+		mac3d.NUMAOptions
+		Parallel int `json:"parallel,omitempty"`
+	} `json:"numa,omitempty"`
+}
+
 // ParseSpec decodes, validates and normalizes one JSON job spec. It is
 // strict: unknown fields, trailing data, wrong-kinded option blocks,
 // out-of-range numerics and unknown workloads are all errors. It never
 // panics, whatever the input (there is a fuzz target holding it to
 // that).
 func ParseSpec(data []byte) (Spec, error) {
-	var s Spec
 	if len(data) > maxSpecBytes {
-		return s, fmt.Errorf("service: spec exceeds %d bytes", maxSpecBytes)
+		return Spec{}, fmt.Errorf("service: spec exceeds %d bytes", maxSpecBytes)
 	}
+	var w specWire
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := dec.Decode(&w); err != nil {
 		return Spec{}, fmt.Errorf("service: invalid spec: %w", err)
 	}
 	if err := checkTrailing(dec); err != nil {
 		return Spec{}, err
+	}
+	s := w.Spec
+	if w.NUMA != nil {
+		if w.NUMA.Parallel < 0 {
+			return Spec{}, fmt.Errorf("service: numa \"parallel\" %d is negative", w.NUMA.Parallel)
+		}
+		s.NUMA = &w.NUMA.NUMAOptions
 	}
 	s, err := s.normalize()
 	if err != nil {

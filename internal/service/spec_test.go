@@ -134,6 +134,8 @@ func TestParseSpecRejections(t *testing.T) {
 		"numa zero nodes":   `{"kind":"numa","numa":{"workload":"sg","nodes":-2}}`,
 		"numa huge nodes":   `{"kind":"numa","numa":{"workload":"sg","nodes":100000}}`,
 		"numa bad latency":  `{"kind":"numa","numa":{"workload":"sg","link_latency_ns":-5}}`,
+		"negative parallel": `{"kind":"numa","numa":{"workload":"sg","parallel":-1}}`,
+		"run parallel":      `{"kind":"run","run":{"workload":"sg","parallel":4}}`,
 		"bad scale":         `{"kind":"run","run":{"workload":"sg","scale":"huge"}}`,
 		"bad design":        `{"kind":"run","run":{"workload":"sg","design":"quantum"}}`,
 		"string where int":  `{"kind":"run","run":{"workload":"sg","threads":"many"}}`,
@@ -193,6 +195,25 @@ func TestSpecV1UpgradesToCurrent(t *testing.T) {
 	h2, _ := v2.Hash()
 	if h1 != h2 {
 		t.Fatalf("v1 and v2 spellings of the same job hash apart: %s vs %s", h1, h2)
+	}
+}
+
+// TestSpecParallelDropped: "parallel", the worker count of the former
+// parallel NUMA core, still parses in a numa block and hashes like the
+// same spec without it.
+func TestSpecParallelDropped(t *testing.T) {
+	with, err := ParseSpec([]byte(`{"kind":"numa","numa":{"workload":"sg","parallel":4}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	without, err := ParseSpec([]byte(`{"kind":"numa","numa":{"workload":"sg"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hw, _ := with.Hash()
+	hwo, _ := without.Hash()
+	if hw != hwo {
+		t.Fatalf("parallel changed the hash: %s vs %s", hw, hwo)
 	}
 }
 

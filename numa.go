@@ -61,13 +61,6 @@ type NUMAOptions struct {
 	// pre-fabric ideal switch with closed-page timing.
 	Cube string `json:"cube,omitempty"`
 
-	// Parallel is the simulation worker count: node phases run on
-	// that many goroutines between per-cycle barriers, with results
-	// bit-identical to the sequential core. 0 or 1 runs sequentially;
-	// counts above Nodes are clamped. This is a host-side execution
-	// knob — it never changes what is simulated, only how fast.
-	Parallel int `json:"parallel,omitempty"`
-
 	// Chaos injects deterministic adversity; at the NUMA level the
 	// link stressor acts (transient NoC link stalls on routed
 	// topologies), plus the cubelink stressor when the devices run a
@@ -167,7 +160,6 @@ func (o NUMAOptions) Validate() error {
 		"Threads":          int64(o.Threads),
 		"Nodes":            int64(o.Nodes),
 		"CoresPerNode":     int64(o.CoresPerNode),
-		"Parallel":         int64(o.Parallel),
 		"Retry.MaxRetries": int64(o.Retry.MaxRetries),
 	}); err != nil {
 		return err
@@ -244,8 +236,7 @@ func (o NUMAOptions) numaConfig() (numa.Config, error) {
 	cfg.MemCache = tuning.ApplyMemCache(cfg.MemCache)
 	cfg.Nodes = o.Nodes
 	cfg.CoresPerNode = o.CoresPerNode
-	cfg.Workers = o.Parallel
-	cfg.LinkLatency = clock.CyclesForNanos(o.LinkLatencyNs)
+	cfg.NoC.LinkLatency = clock.CyclesForNanos(o.LinkLatencyNs)
 	if o.InterleaveBytes != 0 {
 		cfg.InterleaveBytes = o.InterleaveBytes
 	}

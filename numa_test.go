@@ -110,8 +110,8 @@ func TestRunNUMANoCReport(t *testing.T) {
 	}
 }
 
-// TestRunNUMAIdealAliasEquivalence checks the deprecated flat link
-// fields and an explicit ideal NoC block describe the same machine.
+// TestRunNUMAIdealAliasEquivalence checks the flat LinkLatencyNs field
+// and an explicit ideal NoC block describe the same machine.
 func TestRunNUMAIdealAliasEquivalence(t *testing.T) {
 	legacy, err := RunNUMA(NUMAOptions{Workload: "sg", LinkLatencyNs: 50})
 	if err != nil {
