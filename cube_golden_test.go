@@ -52,6 +52,16 @@ var cubeGolden = []cubeGoldenRow{
 // and diffs every pinned counter.
 func runGoldenRow(t *testing.T, g cubeGoldenRow, cube string) {
 	t.Helper()
+	if got := goldenOf(t, runGolden(t, g, cube), g); got != g {
+		t.Errorf("%s/%s cube %q diverged from the pre-fabric golden:\n got %+v\nwant %+v",
+			g.workload, g.chaos, cube, got, g)
+	}
+}
+
+// runGolden executes g's workload at tiny scale under the given cube
+// spelling, with g's chaos profile (seed 7) when set.
+func runGolden(t *testing.T, g cubeGoldenRow, cube string) *RunReport {
+	t.Helper()
 	opts := RunOptions{Workload: g.workload, Scale: ScaleTiny, Cube: cube}
 	if g.chaos != "" {
 		opts.Chaos = ChaosOptions{Profile: g.chaos, Seed: 7}
@@ -60,6 +70,12 @@ func runGoldenRow(t *testing.T, g cubeGoldenRow, cube string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rep
+}
+
+// goldenOf extracts the cubeGoldenRow counters from rep.
+func goldenOf(t *testing.T, rep *RunReport, g cubeGoldenRow) cubeGoldenRow {
+	t.Helper()
 	got := cubeGoldenRow{
 		workload:      g.workload,
 		chaos:         g.chaos,
@@ -82,10 +98,7 @@ func runGoldenRow(t *testing.T, g cubeGoldenRow, cube string) {
 		got.freezes = rep.Chaos.FreezeCycles
 		got.vaultStalls = rep.Chaos.VaultStalls
 	}
-	if got != g {
-		t.Errorf("%s/%s cube %q diverged from the pre-fabric golden:\n got %+v\nwant %+v",
-			g.workload, g.chaos, cube, got, g)
-	}
+	return got
 }
 
 // TestCubeDefaultMatchesPreFabricGolden holds the default cube
@@ -108,5 +121,73 @@ func TestCubeExplicitIdealMatchesGolden(t *testing.T) {
 			continue
 		}
 		runGoldenRow(t, g, "crossbar,page=closed")
+	}
+}
+
+// cubeRoutedRow pins one routed-cube run: the cubeGoldenRow counters
+// plus the exact mean latency, the fabric's message and stall counts,
+// the open-page row outcomes and the cubelink chaos stalls.
+type cubeRoutedRow struct {
+	cube            string
+	base            cubeGoldenRow
+	avgLatency      float64
+	fabricSent      uint64
+	fabricDelivered uint64
+	fabricStalls    uint64
+	rowHits         uint64
+	rowMisses       uint64
+	rowConflicts    uint64
+	cubeLinkStalls  uint64
+}
+
+// cubeRouted was captured at tiny scale before the fabric's queues
+// moved onto internal/queue rings and the cube messages onto a slab.
+// The tight-buffer rows (buf=8,inject=1,bw=1) are the only ones that
+// credit-stall, so they cover backpressure and the blocked injection
+// path; the chaos rows cover cubelink stalls (seed 7).
+var cubeRouted = []cubeRoutedRow{
+	{cube: "ring", base: cubeGoldenRow{workload: "sg", cycles: 9572, memRequests: 6144, transactions: 2780, bankConflicts: 1270, dataBytes: 191136, controlBytes: 88960, p99Latency: 1017, maxLatency: 1017}, avgLatency: 600.85400390625, fabricSent: 5560, fabricDelivered: 5560},
+	{cube: "ring,page=open", base: cubeGoldenRow{workload: "sg", cycles: 7709, memRequests: 6144, transactions: 2839, bankConflicts: 120, dataBytes: 197696, controlBytes: 90848, p99Latency: 654, maxLatency: 654}, avgLatency: 460.9111328125, fabricSent: 5678, fabricDelivered: 5678, rowHits: 2647, rowMisses: 192},
+	{cube: "mesh,page=open", base: cubeGoldenRow{workload: "sg", cycles: 7160, memRequests: 6144, transactions: 2910, bankConflicts: 112, dataBytes: 196336, controlBytes: 93120, p99Latency: 511, maxLatency: 558}, avgLatency: 417.5069986979167, fabricSent: 5820, fabricDelivered: 5820, rowHits: 2718, rowMisses: 192},
+	{cube: "ring,quad=8", base: cubeGoldenRow{workload: "sg", cycles: 9487, memRequests: 6144, transactions: 2714, bankConflicts: 1241, dataBytes: 192928, controlBytes: 86848, p99Latency: 1023, maxLatency: 1025}, avgLatency: 605.4283854166666, fabricSent: 5428, fabricDelivered: 5428},
+	{cube: "ring,page=open", base: cubeGoldenRow{workload: "mg", cycles: 238547, memRequests: 186888, transactions: 66360, bankConflicts: 29079, dataBytes: 6082096, controlBytes: 2123520, p99Latency: 2047, maxLatency: 3505}, avgLatency: 529.5941472967767, fabricSent: 132720, fabricDelivered: 132720, rowHits: 66068, rowMisses: 292},
+	{cube: "mesh", base: cubeGoldenRow{workload: "mg", cycles: 308322, memRequests: 186888, transactions: 45696, bankConflicts: 21865, dataBytes: 5656944, controlBytes: 1462272, p99Latency: 4095, maxLatency: 6635}, avgLatency: 862.3793020418647, fabricSent: 91392, fabricDelivered: 91392},
+	{cube: "ring,buf=8,inject=1,bw=1", base: cubeGoldenRow{workload: "sg", cycles: 10171, memRequests: 6144, transactions: 2789, bankConflicts: 1233, dataBytes: 191536, controlBytes: 89248, p99Latency: 1023, maxLatency: 1069}, avgLatency: 633.9720052083334, fabricSent: 5578, fabricDelivered: 5578, fabricStalls: 169},
+	{cube: "mesh,buf=8,inject=1,bw=1,page=open", base: cubeGoldenRow{workload: "sg", cycles: 7505, memRequests: 6144, transactions: 2931, bankConflicts: 114, dataBytes: 194768, controlBytes: 93792, p99Latency: 616, maxLatency: 616}, avgLatency: 439.23486328125, fabricSent: 5862, fabricDelivered: 5862, fabricStalls: 36, rowHits: 2739, rowMisses: 192},
+	{cube: "ring,page=open", base: cubeGoldenRow{workload: "sg", chaos: "cubelink=0.05:150", cycles: 13489, memRequests: 6144, transactions: 2832, bankConflicts: 551, dataBytes: 192560, controlBytes: 90624, p99Latency: 1603, maxLatency: 1603}, avgLatency: 813.3712565104166, fabricSent: 5664, fabricDelivered: 5664, fabricStalls: 78483, rowHits: 2640, rowMisses: 192, cubeLinkStalls: 702},
+	{cube: "mesh", base: cubeGoldenRow{workload: "sg", chaos: "delay=0.01:16:32,reorder=0.1,cubelink=0.02:400", cycles: 14526, memRequests: 6144, transactions: 2786, bankConflicts: 1118, dataBytes: 193008, controlBytes: 89152, p99Latency: 2047, maxLatency: 2379, delayed: 373, reordered: 24}, avgLatency: 875.8466796875, fabricSent: 5572, fabricDelivered: 5572, fabricStalls: 99845, cubeLinkStalls: 309},
+}
+
+// TestCubeRoutedGolden holds the ring and mesh cube fabrics to their
+// captured runs, cycle for cycle.
+func TestCubeRoutedGolden(t *testing.T) {
+	for _, g := range cubeRouted {
+		name := g.base.workload + " " + g.cube
+		if g.base.chaos != "" {
+			name += " chaos=" + g.base.chaos
+		}
+		t.Run(name, func(t *testing.T) {
+			rep := runGolden(t, g.base, g.cube)
+			if rep.Cube == nil {
+				t.Fatal("routed run missing cube report")
+			}
+			got := cubeRoutedRow{
+				cube:            g.cube,
+				base:            goldenOf(t, rep, g.base),
+				avgLatency:      rep.AvgLatencyCycles,
+				fabricSent:      rep.Cube.FabricSent,
+				fabricDelivered: rep.Cube.FabricDelivered,
+				fabricStalls:    rep.Cube.FabricStallCycles,
+				rowHits:         rep.Cube.RowHits,
+				rowMisses:       rep.Cube.RowMisses,
+				rowConflicts:    rep.Cube.RowConflicts,
+			}
+			if rep.Chaos != nil {
+				got.cubeLinkStalls = rep.Chaos.CubeLinkStalls
+			}
+			if got != g {
+				t.Errorf("diverged from the captured run:\n got %#v\nwant %#v", got, g)
+			}
+		})
 	}
 }

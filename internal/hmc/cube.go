@@ -317,9 +317,10 @@ func ParseCubeConfig(s string) (CubeConfig, error) {
 
 // --- cube fabric runtime ------------------------------------------------
 
-// cubeMsg is the payload of one intra-cube fabric message: the access
-// it carries plus the bookkeeping the far endpoint needs. The fabric
-// never inspects it.
+// cubeMsg is one access crossing the intra-cube fabric: the request
+// plus the bookkeeping the far endpoint needs. It lives in the
+// Device's slab from Submit until its response leaves the fabric; the
+// fabric and the injection queues carry only its int32 slab index.
 type cubeMsg struct {
 	// isResp distinguishes a vault→link response crossing from a
 	// link→vault request crossing.
@@ -336,43 +337,78 @@ type cubeMsg struct {
 	conflicted bool
 }
 
+// never is a cycle no simulation reaches.
+const never = ^sim.Cycle(0)
+
 // cubeInject is one message waiting to enter the fabric once its ready
 // cycle arrives (external-link serialization done, or DRAM data ready).
 type cubeInject struct {
 	ready sim.Cycle
-	m     noc.Message[cubeMsg]
+	msg   int32 // slab index
 }
 
 // cubeState is the Device's fabric runtime; nil for the ideal cube.
 type cubeState struct {
-	fab noc.Fabric[cubeMsg]
-	// q holds per-fabric-node pending injections: requests queue at
-	// their ingress-link node, responses at their vault node.
+	fab noc.Fabric[int32]
+	// msgs is the slab of accesses between Submit and response
+	// delivery; free lists the released slots.
+	msgs []cubeMsg
+	free []int32
+	// q holds per-fabric-node pending injections in arrival order:
+	// requests queue at their ingress-link node, responses at their
+	// vault node.
 	q [][]cubeInject
+	// due[n] is at most the earliest ready cycle in q[n], and nextDue
+	// at most the earliest across all nodes; cubePump does not look at
+	// a node, or at any node, before then.
+	due     []sim.Cycle
+	nextDue sim.Cycle
 	// queued counts entries across q.
 	queued int
 	// next is the first cycle advance has not yet simulated.
 	next sim.Cycle
+	// deliver is the fabric's Deliver sink, built once; now is the
+	// cycle it delivers at.
+	deliver func(noc.Message[int32]) bool
+	now     sim.Cycle
 	// inFlight counts accesses between Submit and their response-heap
 	// push (or drop): queued, crossing, or at a vault.
 	inFlight int
 }
 
-// newCubeState builds the fabric runtime for a routed cube config; it
-// must only be called after Config.Validate accepted cfg.
-func newCubeState(cfg Config) (*cubeState, error) {
-	ncfg, err := cfg.Cube.nocConfig(cfg.Links, cfg.Vaults)
+// newCubeState builds d's fabric runtime for a routed cube config; it
+// must only be called after Config.Validate accepted d.cfg.
+func newCubeState(d *Device) (*cubeState, error) {
+	ncfg, err := d.cfg.Cube.nocConfig(d.cfg.Links, d.cfg.Vaults)
 	if err != nil {
 		return nil, err
 	}
-	fab, err := noc.New[cubeMsg](ncfg)
+	fab, err := noc.New[int32](ncfg)
 	if err != nil {
 		return nil, fmt.Errorf("hmc: cube fabric: %w", err)
 	}
-	return &cubeState{
+	c := &cubeState{
 		fab: fab,
-		q:   make([][]cubeInject, cfg.Links+cfg.Vaults),
-	}, nil
+		q:   make([][]cubeInject, ncfg.Nodes),
+		due: make([]sim.Cycle, ncfg.Nodes),
+	}
+	c.deliver = func(m noc.Message[int32]) bool {
+		d.cubeDeliver(c.now, m.Payload)
+		return true
+	}
+	return c, nil
+}
+
+// alloc stores m in a free slab slot and returns its index.
+func (c *cubeState) alloc(m cubeMsg) int32 {
+	if n := len(c.free); n > 0 {
+		i := c.free[n-1]
+		c.free = c.free[:n-1]
+		c.msgs[i] = m
+		return i
+	}
+	c.msgs = append(c.msgs, m)
+	return int32(len(c.msgs) - 1)
 }
 
 // cubeFlits clamps a packet's flit count to the fabric's message bound:
@@ -408,20 +444,33 @@ func (d *Device) quadPenalty(link, vault int) sim.Cycle {
 func (d *Device) cubeSubmit(req Request, link, vault int, ready, now sim.Cycle, drop bool) {
 	d.vaultPending[vault]++
 	d.cube.inFlight++
-	d.cubeEnqueue(link, ready+d.quadPenalty(link, vault), noc.Message[cubeMsg]{
-		Src:   link,
-		Dst:   d.cfg.Links + vault,
-		Flits: cubeFlits(req.RequestFlits()),
-		Payload: cubeMsg{
-			req: req, submitted: now, link: link, vault: vault, drop: drop,
-		},
-	})
+	i := d.cube.alloc(cubeMsg{req: req, submitted: now, link: link, vault: vault, drop: drop})
+	d.cubeEnqueue(link, ready+d.quadPenalty(link, vault), i)
 }
 
-// cubeEnqueue parks m at fabric node n until ready.
-func (d *Device) cubeEnqueue(n int, ready sim.Cycle, m noc.Message[cubeMsg]) {
-	d.cube.q[n] = append(d.cube.q[n], cubeInject{ready: ready, m: m})
-	d.cube.queued++
+// cubeEnqueue parks slab message i at fabric node n until ready.
+func (d *Device) cubeEnqueue(n int, ready sim.Cycle, i int32) {
+	c := d.cube
+	if len(c.q[n]) == 0 || ready < c.due[n] {
+		c.due[n] = ready
+	}
+	if c.queued == 0 || ready < c.nextDue {
+		c.nextDue = ready
+	}
+	c.q[n] = append(c.q[n], cubeInject{ready: ready, msg: i})
+	c.queued++
+}
+
+// cubeMessage builds the fabric message for slab entry i: a request
+// crosses from its ingress link to its vault, a response back.
+func (d *Device) cubeMessage(i int32) noc.Message[int32] {
+	p := &d.cube.msgs[i]
+	if p.isResp {
+		return noc.Message[int32]{Src: d.cfg.Links + p.vault, Dst: p.link,
+			Flits: cubeFlits(p.req.ResponseFlits()), Payload: i}
+	}
+	return noc.Message[int32]{Src: p.link, Dst: d.cfg.Links + p.vault,
+		Flits: cubeFlits(p.req.RequestFlits()), Payload: i}
 }
 
 // cubeAdvance runs the fabric cycle loop up to and including now:
@@ -432,7 +481,7 @@ func (d *Device) cubeEnqueue(n int, ready sim.Cycle, m noc.Message[cubeMsg]) {
 func (d *Device) cubeAdvance(now sim.Cycle) {
 	c := d.cube
 	for t := c.next; t <= now; t++ {
-		if c.queued > 0 {
+		if c.queued > 0 && c.nextDue <= t {
 			d.cubePump(t)
 		}
 		if c.queued == 0 && c.fab.InFlight() == 0 {
@@ -441,10 +490,8 @@ func (d *Device) cubeAdvance(now sim.Cycle) {
 			continue
 		}
 		c.fab.Tick(t)
-		c.fab.Deliver(t, func(m noc.Message[cubeMsg]) bool {
-			d.cubeDeliver(t, m)
-			return true
-		})
+		c.now = t
+		c.fab.Deliver(t, c.deliver)
 	}
 	c.next = now + 1
 }
@@ -452,35 +499,45 @@ func (d *Device) cubeAdvance(now sim.Cycle) {
 // cubePump attempts every due injection. Refusals (full injection
 // queue) block the refusing node's later due messages, preserving
 // per-node order under backpressure; not-yet-due messages never block
-// a due one behind them.
+// a due one behind them. Nodes whose earliest ready cycle is still
+// ahead are skipped, and each visited queue is compacted in place.
 func (d *Device) cubePump(t sim.Cycle) {
 	c := d.cube
-	for n := range c.q {
-		q := c.q[n]
+	c.nextDue = never
+	for n, q := range c.q {
 		if len(q) == 0 {
 			continue
 		}
+		if c.due[n] > t {
+			c.nextDue = min(c.nextDue, c.due[n])
+			continue
+		}
 		kept := q[:0]
+		due := never
 		blocked := false
-		for i := range q {
-			e := q[i]
+		for _, e := range q {
 			if !blocked && e.ready <= t {
-				if c.fab.Send(t, e.m) {
+				if c.fab.Send(t, d.cubeMessage(e.msg)) {
 					c.queued--
 					continue
 				}
 				blocked = true
 			}
+			due = min(due, e.ready)
 			kept = append(kept, e)
 		}
 		c.q[n] = kept
+		c.due[n] = due
+		if len(kept) > 0 {
+			c.nextDue = min(c.nextDue, due)
+		}
 	}
 }
 
-// cubeDeliver handles one fabric arrival at cycle t.
-func (d *Device) cubeDeliver(t sim.Cycle, m noc.Message[cubeMsg]) {
-	p := m.Payload
-	if !p.isResp {
+// cubeDeliver handles the arrival of slab message i at cycle t.
+func (d *Device) cubeDeliver(t sim.Cycle, i int32) {
+	c := d.cube
+	if p := &c.msgs[i]; !p.isResp {
 		// Request reached its vault: controller decode, FCFS issue
 		// (past any refresh window), then the DRAM access. The
 		// response crosses back once the data is ready.
@@ -491,14 +548,11 @@ func (d *Device) cubeDeliver(t sim.Cycle, m noc.Message[cubeMsg]) {
 		dataReady, conflicted := d.bankAccess(p.req, issue)
 		p.isResp = true
 		p.conflicted = conflicted
-		d.cubeEnqueue(d.cfg.Links+p.vault, dataReady+d.quadPenalty(p.link, p.vault), noc.Message[cubeMsg]{
-			Src:     d.cfg.Links + p.vault,
-			Dst:     p.link,
-			Flits:   cubeFlits(p.req.ResponseFlits()),
-			Payload: p,
-		})
+		d.cubeEnqueue(d.cfg.Links+p.vault, dataReady+d.quadPenalty(p.link, p.vault), i)
 		return
 	}
+	p := c.msgs[i]
+	c.free = append(c.free, i)
 	// Response back at its ingress link: external serialization and the
 	// return pipeline, mirroring the direct path from dataReady on.
 	respSer := sim.Cycle(p.req.ResponseFlits()) * d.cfg.FlitCycles
@@ -516,7 +570,7 @@ func (d *Device) cubeDeliver(t sim.Cycle, m noc.Message[cubeMsg]) {
 	if done > d.st.LastDone {
 		d.st.LastDone = done
 	}
-	d.cube.inFlight--
+	c.inFlight--
 	if p.drop {
 		// Lost response: the access happened, but the host never hears
 		// back. The vault-queue slot leaks, exactly as on the direct

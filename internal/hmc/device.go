@@ -1,10 +1,10 @@
 package hmc
 
 import (
-	"container/heap"
 	"fmt"
 
 	"mac3d/internal/addr"
+	"mac3d/internal/queue"
 	"mac3d/internal/sim"
 	"mac3d/internal/stats"
 )
@@ -44,7 +44,11 @@ type Device struct {
 	// topology, which keeps the direct-dispatch fast path below.
 	cube *cubeState
 
-	pending responseHeap
+	// pending holds completed responses ordered by Done; ties pop in
+	// container/heap's order, which the golden captures pin.
+	pending *queue.Heap[Response]
+	// out is Tick's result slice, reused from call to call.
+	out []Response
 
 	// Fault-injection state (see faults.go / retry.go). All nil/zero
 	// and never consulted when cfg.Faults is disabled.
@@ -165,6 +169,7 @@ func NewDevice(cfg Config) (*Device, error) {
 		vaultFree:    make([]sim.Cycle, cfg.Vaults),
 		vaultPending: make([]int, cfg.Vaults),
 		rowShift:     shift,
+		pending:      queue.NewHeap(func(a, b Response) bool { return a.Done < b.Done }),
 	}
 	if cfg.Cube.PagePolicy == PageOpen {
 		d.openPage = true
@@ -172,7 +177,7 @@ func NewDevice(cfg Config) (*Device, error) {
 		d.openRow = make([]uint64, cfg.Vaults*cfg.BanksPerVault)
 	}
 	if cfg.Cube.Routed() {
-		cs, err := newCubeState(cfg)
+		cs, err := newCubeState(d)
 		if err != nil {
 			return nil, err
 		}
@@ -347,7 +352,7 @@ func (d *Device) Submit(req Request, now sim.Cycle) {
 		d.st.PoisonedResponses++
 	}
 
-	heap.Push(&d.pending, Response{
+	d.pending.Push(Response{
 		Tag:        req.Tag,
 		Addr:       req.Addr,
 		Kind:       req.Kind,
@@ -413,7 +418,7 @@ func (d *Device) bankAccess(req Request, issue sim.Cycle) (dataReady sim.Cycle, 
 }
 
 // pushResponse enqueues a completed response for Tick to deliver.
-func (d *Device) pushResponse(r Response) { heap.Push(&d.pending, r) }
+func (d *Device) pushResponse(r Response) { d.pending.Push(r) }
 
 // poisonResponse emits the error response for a request abandoned on
 // the request path: no vault or bank was touched; the host hears a
@@ -433,7 +438,7 @@ func (d *Device) poisonResponse(req Request, link int, now, lastAttempt sim.Cycl
 		return
 	}
 	d.st.PoisonedResponses++
-	heap.Push(&d.pending, Response{
+	d.pending.Push(Response{
 		Tag:       req.Tag,
 		Addr:      req.Addr,
 		Kind:      req.Kind,
@@ -495,14 +500,17 @@ func (d *Device) pickLink(now sim.Cycle) int {
 }
 
 // Tick returns all responses completed at or before now, in completion
-// order. The returned slice is owned by the caller.
+// order. The slice is the device's own and is valid only until the
+// next Tick or Reset: callers consume it (or copy what they keep)
+// within the cycle. Reusing it keeps a steady-state Tick free of
+// allocations.
 func (d *Device) Tick(now sim.Cycle) []Response {
 	if d.cube != nil {
 		d.cubeAdvance(now)
 	}
-	var out []Response
-	for d.pending.Len() > 0 && d.pending[0].Done <= now {
-		r := heap.Pop(&d.pending).(Response)
+	out := d.out[:0]
+	for d.pending.Len() > 0 && d.pending.Min().Done <= now {
+		r := d.pending.Pop()
 		if r.vault >= 0 {
 			d.vaultPending[r.vault]--
 		}
@@ -511,6 +519,7 @@ func (d *Device) Tick(now sim.Cycle) []Response {
 		}
 		out = append(out, r)
 	}
+	d.out = out
 	return out
 }
 
@@ -543,13 +552,13 @@ func (d *Device) Reset() {
 		d.rowOpen[i] = false
 		d.openRow[i] = 0
 	}
-	d.pending = d.pending[:0]
+	d.pending.Reset()
 	d.nextLink = 0
 	d.st = Stats{}
 	if d.cube != nil {
 		// Rebuild the fabric from the already-validated config; this
 		// cannot fail after NewDevice accepted it.
-		cs, err := newCubeState(d.cfg)
+		cs, err := newCubeState(d)
 		if err != nil {
 			panic(err)
 		}
@@ -562,18 +571,4 @@ func (d *Device) Reset() {
 func (d *Device) String() string {
 	return fmt.Sprintf("hmc.Device{links:%d vaults:%d banks:%d inflight:%d}",
 		d.cfg.Links, d.cfg.Vaults, d.cfg.Vaults*d.cfg.BanksPerVault, d.pending.Len())
-}
-
-type responseHeap []Response
-
-func (h responseHeap) Len() int           { return len(h) }
-func (h responseHeap) Less(i, j int) bool { return h[i].Done < h[j].Done }
-func (h responseHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *responseHeap) Push(x any)        { *h = append(*h, x.(Response)) }
-func (h *responseHeap) Pop() (out any) {
-	old := *h
-	n := len(old)
-	out = old[n-1]
-	*h = old[:n-1]
-	return
 }

@@ -7,7 +7,7 @@ import "mac3d/internal/obs"
 // probes into the cycle-sampled timeseries recorder.
 func (d *Device) AttachObs(o *obs.Obs) {
 	reg := o.Reg()
-	reg.Func("hmc.inflight", func() float64 { return float64(d.pending.Len()) })
+	reg.Func("hmc.inflight", func() float64 { return float64(d.Pending()) })
 	reg.Func("hmc.requests", func() float64 { return float64(d.st.Requests) })
 	reg.Func("hmc.bank_conflicts", func() float64 { return float64(d.st.BankConflicts) })
 	reg.Func("hmc.link.retries", func() float64 { return float64(d.st.LinkRetries) })
@@ -31,7 +31,7 @@ func (d *Device) AttachObs(o *obs.Obs) {
 	}
 
 	rec := o.Rec()
-	rec.Watch("hmc.inflight", func() float64 { return float64(d.pending.Len()) })
+	rec.Watch("hmc.inflight", func() float64 { return float64(d.Pending()) })
 	if d.cube != nil {
 		rec.Watch("hmc.cube.in_flight", func() float64 {
 			return float64(d.cube.fab.InFlight())

@@ -4,12 +4,16 @@ import (
 	"fmt"
 
 	"mac3d/internal/obs"
+	"mac3d/internal/queue"
 	"mac3d/internal/sim"
 )
 
 // traceEmitInterval is how often (in cycles) the routed fabric emits a
 // per-link buffer-occupancy counter event when tracing is enabled.
 const traceEmitInterval = 256
+
+// never is a cycle no simulation reaches.
+const never = ^sim.Cycle(0)
 
 // routedMsg wraps a message with its in-network bookkeeping.
 type routedMsg[P any] struct {
@@ -29,12 +33,19 @@ type transitMsg[P any] struct {
 // the free space, so arrivals never overflow.
 type inPort[P any] struct {
 	linkID    int
-	q         []routedMsg[P]
+	q         *queue.FIFO[routedMsg[P]]
 	usedFlits int
 }
 
 // routedFabric runs the ring and mesh topologies: store-and-forward
 // routers with FLIT-serialized links and credit-based flow control.
+//
+// Every queue is an internal/queue.FIFO. The transit, input-port and
+// ejection queues are bounded by BufferFlits messages (credits and the
+// ejection check hold each to BufferFlits flits, and a message is at
+// least one flit), so their pushes cannot fail; the injection queues
+// are bounded by InjectDepth, which is Send's refusal test. The FIFOs
+// grow on demand, so a large legal bound costs nothing up front.
 type routedFabric[P any] struct {
 	cfg  Config
 	topo *topology
@@ -43,14 +54,22 @@ type routedFabric[P any] struct {
 	busyUntil  []sim.Cycle
 	stallUntil []sim.Cycle
 	credits    []int // free flits in the downstream input buffer
-	transit    [][]transitMsg[P]
+	transit    []*queue.FIFO[transitMsg[P]]
+	// headArrive is the arrival cycle of each link's oldest transit
+	// message, or never when the link carries none: the per-cycle
+	// arrival scan reads this instead of every transit queue.
+	headArrive []sim.Cycle
 
 	// Per-node state.
 	ports      [][]inPort[P]
-	inject     [][]routedMsg[P]
-	eject      [][]routedMsg[P]
+	portMsgs   []int // messages queued across the node's input ports
+	inject     []*queue.FIFO[routedMsg[P]]
+	eject      []*queue.FIFO[routedMsg[P]]
 	ejectFlits []int
 	rr         []int // switch-allocation round-robin start per node
+	// injected and ejected count messages across all injection and
+	// ejection queues, so empty phases cost one test.
+	injected, ejected int
 
 	// ringFree tracks unreserved buffer flits per directional ring;
 	// injection must keep it above bubbleReserve (critical-bubble flow
@@ -91,10 +110,12 @@ func newRouted[P any](cfg Config) (*routedFabric[P], error) {
 		busyUntil:     make([]sim.Cycle, len(topo.links)),
 		stallUntil:    make([]sim.Cycle, len(topo.links)),
 		credits:       make([]int, len(topo.links)),
-		transit:       make([][]transitMsg[P], len(topo.links)),
+		transit:       make([]*queue.FIFO[transitMsg[P]], len(topo.links)),
+		headArrive:    make([]sim.Cycle, len(topo.links)),
 		ports:         make([][]inPort[P], cfg.Nodes),
-		inject:        make([][]routedMsg[P], cfg.Nodes),
-		eject:         make([][]routedMsg[P], cfg.Nodes),
+		portMsgs:      make([]int, cfg.Nodes),
+		inject:        make([]*queue.FIFO[routedMsg[P]], cfg.Nodes),
+		eject:         make([]*queue.FIFO[routedMsg[P]], cfg.Nodes),
 		ejectFlits:    make([]int, cfg.Nodes),
 		rr:            make([]int, cfg.Nodes),
 		ringFree:      make([]int, topo.rings),
@@ -103,10 +124,14 @@ func newRouted[P any](cfg Config) (*routedFabric[P], error) {
 	}
 	for n := 0; n < cfg.Nodes; n++ {
 		f.ports[n] = make([]inPort[P], topo.ports[n])
+		f.inject[n] = queue.New[routedMsg[P]](cfg.InjectDepth)
+		f.eject[n] = queue.New[routedMsg[P]](cfg.BufferFlits)
 	}
 	for _, l := range topo.links {
 		f.credits[l.id] = cfg.BufferFlits
-		f.ports[l.to][l.port].linkID = l.id
+		f.transit[l.id] = queue.New[transitMsg[P]](cfg.BufferFlits)
+		f.headArrive[l.id] = never
+		f.ports[l.to][l.port] = inPort[P]{linkID: l.id, q: queue.New[routedMsg[P]](cfg.BufferFlits)}
 		if l.ring >= 0 {
 			f.ringFree[l.ring] += cfg.BufferFlits
 		}
@@ -129,14 +154,14 @@ func (f *routedFabric[P]) Send(now sim.Cycle, m Message[P]) bool {
 			f.st.InjectRejects++
 			return false
 		}
-		f.eject[m.Src] = append(f.eject[m.Src], rm)
+		mustPush(f.eject[m.Src], rm)
 		f.ejectFlits[m.Src] += m.Flits
+		f.ejected++
+	} else if f.inject[m.Src].Push(rm) {
+		f.injected++
 	} else {
-		if len(f.inject[m.Src]) >= f.cfg.InjectDepth {
-			f.st.InjectRejects++
-			return false
-		}
-		f.inject[m.Src] = append(f.inject[m.Src], rm)
+		f.st.InjectRejects++
+		return false
 	}
 	f.inflight++
 	f.st.Sent++
@@ -150,70 +175,102 @@ func (f *routedFabric[P]) Send(now sim.Cycle, m Message[P]) bool {
 // tries to inject its queue head.
 func (f *routedFabric[P]) Tick(now sim.Cycle) {
 	// 1. Arrivals. Buffer space was reserved by the sender's credits.
-	for l := range f.transit {
+	for l, at := range f.headArrive {
+		if at > now {
+			continue
+		}
 		q := f.transit[l]
-		for len(q) > 0 && q[0].arrive <= now {
-			p := &f.ports[f.topo.links[l].to][f.topo.links[l].port]
-			p.q = append(p.q, q[0].msg)
-			p.usedFlits += q[0].msg.m.Flits
+		link := &f.topo.links[l]
+		p := &f.ports[link.to][link.port]
+		for {
+			tm, _ := q.Pop()
+			mustPush(p.q, tm.msg)
+			f.portMsgs[link.to]++
+			p.usedFlits += tm.msg.m.Flits
 			if p.usedFlits > f.st.Links[l].MaxBufferFlits {
 				f.st.Links[l].MaxBufferFlits = p.usedFlits
 			}
-			q = q[1:]
+			next, ok := q.Peek()
+			if !ok {
+				f.headArrive[l] = never
+				break
+			}
+			if next.arrive > now {
+				f.headArrive[l] = next.arrive
+				break
+			}
 		}
-		f.transit[l] = q
 	}
 	// 2. Switch allocation, round-robin over input ports for fairness.
-	for n := range f.ports {
-		np := len(f.ports[n])
-		for k := 0; k < np; k++ {
-			p := &f.ports[n][(f.rr[n]+k)%np]
-			if len(p.q) == 0 {
+	// A node with empty input ports has nothing to allocate, but its
+	// round-robin start still advances.
+	for n, ports := range f.ports {
+		np := len(ports)
+		if np == 0 {
+			continue
+		}
+		i := f.rr[n]
+		if f.rr[n]++; f.rr[n] == np {
+			f.rr[n] = 0
+		}
+		if f.portMsgs[n] == 0 {
+			continue
+		}
+		for k := 0; k < np; k, i = k+1, i+1 {
+			if i == np {
+				i = 0
+			}
+			p := &ports[i]
+			head, ok := p.q.Peek()
+			if !ok {
 				continue
 			}
-			head := p.q[0]
 			if head.m.Dst == n {
 				// Eject into the (bounded) delivery buffer.
 				if f.ejectFlits[n]+head.m.Flits > f.cfg.BufferFlits {
 					continue
 				}
-				f.eject[n] = append(f.eject[n], head)
+				mustPush(f.eject[n], head)
 				f.ejectFlits[n] += head.m.Flits
-				f.popPort(p, head.m.Flits)
+				f.ejected++
+				f.popPort(n, p, head.m.Flits)
 				continue
 			}
 			out := f.topo.route(n, head.m.Dst)
 			if !f.trySend(now, out, head, false) {
 				continue
 			}
-			f.popPort(p, head.m.Flits)
-		}
-		if np > 0 {
-			f.rr[n] = (f.rr[n] + 1) % np
+			f.popPort(n, p, head.m.Flits)
 		}
 	}
 	// 3. Injection (loses to in-network traffic on a contended link).
-	for n := range f.inject {
-		if len(f.inject[n]) == 0 {
+	for n, q := range f.inject {
+		if f.injected == 0 {
+			break
+		}
+		if q.Len() == 0 {
 			continue
 		}
-		head := f.inject[n][0]
+		head, _ := q.Peek()
 		out := f.topo.route(n, head.m.Dst)
 		if !f.trySend(now, out, head, true) {
 			continue
 		}
-		f.inject[n] = f.inject[n][1:]
+		q.Pop()
+		f.injected--
 	}
 	if f.tracer != nil && now%traceEmitInterval == 0 {
 		f.emitTrace(now)
 	}
 }
 
-// popPort removes the head message from an input buffer and returns
-// its flits as credits to the upstream sender (idealized zero-latency
-// credit wires; the buffer bound itself is still strictly enforced).
-func (f *routedFabric[P]) popPort(p *inPort[P], flits int) {
-	p.q = p.q[1:]
+// popPort removes the head message from node n's input buffer p and
+// returns its flits as credits to the upstream sender (idealized
+// zero-latency credit wires; the buffer bound itself is still strictly
+// enforced).
+func (f *routedFabric[P]) popPort(n int, p *inPort[P], flits int) {
+	p.q.Pop()
+	f.portMsgs[n]--
 	p.usedFlits -= flits
 	f.credits[p.linkID] += flits
 	if r := f.topo.links[p.linkID].ring; r >= 0 {
@@ -255,10 +312,11 @@ func (f *routedFabric[P]) trySend(now sim.Cycle, out int, head routedMsg[P], inj
 		f.ringFree[ring] -= flits
 	}
 	head.hops++
-	f.transit[out] = append(f.transit[out], transitMsg[P]{
-		arrive: now + ser + f.cfg.LinkLatency,
-		msg:    head,
-	})
+	arrive := now + ser + f.cfg.LinkLatency
+	mustPush(f.transit[out], transitMsg[P]{arrive: arrive, msg: head})
+	if f.headArrive[out] == never {
+		f.headArrive[out] = arrive
+	}
 	ls.Messages++
 	ls.Flits += uint64(flits)
 	ls.BusyCycles += uint64(ser)
@@ -266,16 +324,20 @@ func (f *routedFabric[P]) trySend(now sim.Cycle, out int, head routedMsg[P], inj
 }
 
 func (f *routedFabric[P]) Deliver(now sim.Cycle, sink func(m Message[P]) bool) {
-	for n := range f.eject {
-		for len(f.eject[n]) > 0 {
-			head := f.eject[n][0]
+	for n, q := range f.eject {
+		if f.ejected == 0 {
+			return
+		}
+		for q.Len() > 0 {
+			head, _ := q.Peek()
 			if !sink(head.m) {
 				// Destination backpressure: the head keeps its place,
 				// so per-(src,dst) FIFO order survives the refusal.
 				f.st.DeliverRetries++
 				break
 			}
-			f.eject[n] = f.eject[n][1:]
+			q.Pop()
+			f.ejected--
 			f.ejectFlits[n] -= head.m.Flits
 			f.inflight--
 			f.st.Delivered++
@@ -324,4 +386,12 @@ func (f *routedFabric[P]) emitTrace(now sim.Cycle) {
 		values[fmt.Sprintf("l%03d.%s", l.id, l.class)] = f.ports[l.to][l.port].usedFlits
 	}
 	f.tracer.CounterEvent("noc.links", uint64(now), values)
+}
+
+// mustPush appends v to a queue whose bound the flow control already
+// guarantees; a refusal is a broken credit invariant, not backpressure.
+func mustPush[T any](q *queue.FIFO[T], v T) {
+	if !q.Push(v) {
+		panic("noc: flow-control invariant broken: queue overflow")
+	}
 }

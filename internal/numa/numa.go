@@ -299,6 +299,10 @@ type System struct {
 	nodes []*node
 	// fab is the interconnect carrying Global/Remote traffic.
 	fab noc.Fabric[payload]
+	// land is fab's Deliver sink, built once; landAt is the cycle it
+	// delivers at.
+	land   func(noc.Message[payload]) bool
+	landAt sim.Cycle
 	// reqBudget bounds request injections per node per cycle: the
 	// ideal fabric keeps the legacy LinkBandwidth messages-per-cycle
 	// semantics; routed fabrics backpressure through Send instead.
@@ -359,6 +363,13 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("numa: %w", err)
 	}
 	s.fab = fab
+	s.land = func(m noc.Message[payload]) bool {
+		if m.Payload.isResponse {
+			s.retire(m.Payload.target, s.landAt, m.Payload.poisoned)
+			return true
+		}
+		return s.nodes[m.Dst].router.OfferRemote(m.Payload.req)
+	}
 	if ncfg.Topology == noc.Ideal {
 		s.reqBudget = ncfg.LinkBandwidth
 	} else {
@@ -712,13 +723,8 @@ func (s *System) deliverResponses(nd *node, now sim.Cycle) {
 // — without letting younger traffic from its source pass it — and is
 // offered again next cycle.
 func (s *System) deliverMessages(now sim.Cycle) {
-	s.fab.Deliver(now, func(m noc.Message[payload]) bool {
-		if m.Payload.isResponse {
-			s.retire(m.Payload.target, now, m.Payload.poisoned)
-			return true
-		}
-		return s.nodes[m.Dst].router.OfferRemote(m.Payload.req)
-	})
+	s.landAt = now
+	s.fab.Deliver(now, s.land)
 }
 
 // retire lands one target at its thread's home node: directly when

@@ -1,19 +1,32 @@
 // Package queue provides the bounded FIFO ring buffer used for every
 // hardware queue in the model: the request router's Local/Global/Remote
-// access queues, per-vault request queues, and core load/store queues.
+// access queues, the coalescer frontends' input queues, and the
+// interconnect's link, router-input, injection and ejection queues.
 //
 // The queues keep occupancy statistics so the experiment harness can
 // report contention and sizing data without extra instrumentation.
+//
+// Heap is the package's other container: the binary min-heap behind
+// the device's response queue and the ideal crossbar's delivery queue.
 package queue
 
 import "fmt"
 
 // FIFO is a bounded first-in first-out ring buffer of T.
 // The zero value is not usable; construct with New.
+//
+// The backing array grows on demand: it starts empty, and a push into
+// a full array that is still below the bound doubles it (minimum
+// minGrow slots, never beyond the bound rounded up to a power of two).
+// Its length is always a power of two, so indexing is a mask. A queue
+// whose bound is far above its real occupancy — the interconnect's
+// buffers, sized in flits but mostly holding a few messages — costs
+// only what it holds, and after warm-up a queue allocates nothing.
 type FIFO[T any] struct {
-	buf  []T
-	head int
-	size int
+	buf   []T // len(buf) is 0 or a power of two
+	bound int
+	head  int
+	size  int
 
 	pushes    uint64
 	rejects   uint64
@@ -21,23 +34,43 @@ type FIFO[T any] struct {
 	maxSize   int
 }
 
+// minGrow is the smallest backing array a FIFO allocates.
+const minGrow = 8
+
 // New returns an empty FIFO with the given capacity. Capacity must be
-// positive.
+// positive. Nothing is allocated until the first push.
 func New[T any](capacity int) *FIFO[T] {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("queue: non-positive capacity %d", capacity))
 	}
-	return &FIFO[T]{buf: make([]T, capacity)}
+	return &FIFO[T]{bound: capacity}
 }
 
 // Len returns the number of queued elements.
 func (q *FIFO[T]) Len() int { return q.size }
 
-// Cap returns the queue capacity.
-func (q *FIFO[T]) Cap() int { return len(q.buf) }
+// Cap returns the queue capacity: the bound passed to New.
+func (q *FIFO[T]) Cap() int { return q.bound }
 
 // Full reports whether no more elements can be pushed.
-func (q *FIFO[T]) Full() bool { return q.size == len(q.buf) }
+func (q *FIFO[T]) Full() bool { return q.size == q.bound }
+
+// grow doubles the backing array, unwrapping the queue to its front.
+// Only called when the array is full and below the bound, so the new
+// length never exceeds the bound rounded up to a power of two.
+func (q *FIFO[T]) grow() {
+	n := 2 * len(q.buf)
+	if n == 0 {
+		n = minGrow
+		for n/2 >= q.bound {
+			n /= 2
+		}
+	}
+	buf := make([]T, n)
+	k := copy(buf, q.buf[q.head:])
+	copy(buf[k:], q.buf[:q.head])
+	q.buf, q.head = buf, 0
+}
 
 // Empty reports whether the queue holds no elements.
 func (q *FIFO[T]) Empty() bool { return q.size == 0 }
@@ -47,11 +80,14 @@ func (q *FIFO[T]) Empty() bool { return q.size == 0 }
 func (q *FIFO[T]) Push(v T) bool {
 	q.pushes++
 	q.occupancy += uint64(q.size)
-	if q.size == len(q.buf) {
+	if q.size == q.bound {
 		q.rejects++
 		return false
 	}
-	q.buf[(q.head+q.size)%len(q.buf)] = v
+	if q.size == len(q.buf) {
+		q.grow()
+	}
+	q.buf[(q.head+q.size)&(len(q.buf)-1)] = v
 	q.size++
 	if q.size > q.maxSize {
 		q.maxSize = q.size
@@ -67,7 +103,7 @@ func (q *FIFO[T]) Pop() (v T, ok bool) {
 	v = q.buf[q.head]
 	var zero T
 	q.buf[q.head] = zero
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.size--
 	return v, true
 }
@@ -86,10 +122,11 @@ func (q *FIFO[T]) At(i int) T {
 	if i < 0 || i >= q.size {
 		panic(fmt.Sprintf("queue: At(%d) with size %d", i, q.size))
 	}
-	return q.buf[(q.head+i)%len(q.buf)]
+	return q.buf[(q.head+i)&(len(q.buf)-1)]
 }
 
-// Reset discards all elements and statistics.
+// Reset discards all elements and statistics. The backing array is
+// kept for reuse.
 func (q *FIFO[T]) Reset() {
 	var zero T
 	for i := range q.buf {

@@ -168,3 +168,64 @@ func TestFIFOPropertyAgainstSlice(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFIFOGrowthKeepsOrderAndBound runs the slice model against bounds
+// that are not powers of two, so the backing array grows past the
+// bound's own size and wraps while growing.
+func TestFIFOGrowthKeepsOrderAndBound(t *testing.T) {
+	for _, bound := range []int{1, 3, 5, 8, 9, 100} {
+		q := New[int](bound)
+		var model []int
+		next := 0
+		for step := 0; step < 2000; step++ {
+			if (step/7)%3 != 2 {
+				ok := q.Push(next)
+				if ok != (len(model) < bound) {
+					t.Fatalf("bound %d step %d: Push = %v with %d queued", bound, step, ok, len(model))
+				}
+				if ok {
+					model = append(model, next)
+				}
+				next++
+			} else if v, ok := q.Pop(); ok != (len(model) > 0) || (ok && v != model[0]) {
+				t.Fatalf("bound %d step %d: Pop = (%d,%v), model %v", bound, step, v, ok, model)
+			} else if ok {
+				model = model[1:]
+			}
+			if q.Len() != len(model) || q.Full() != (len(model) == bound) || q.Cap() != bound {
+				t.Fatalf("bound %d step %d: Len %d Full %v Cap %d, model %d", bound, step, q.Len(), q.Full(), q.Cap(), len(model))
+			}
+			for i, w := range model {
+				if q.At(i) != w {
+					t.Fatalf("bound %d step %d: At(%d) = %d, want %d", bound, step, i, q.At(i), w)
+				}
+			}
+		}
+	}
+}
+
+var escaped *FIFO[int]
+
+func TestFIFOAllocatesOnDemand(t *testing.T) {
+	if allocs := testing.AllocsPerRun(10, func() { escaped = New[int](1 << 20) }); allocs != 1 {
+		t.Fatalf("New with a 2^20 bound: %v allocations, want 1 (the header only)", allocs)
+	}
+	q := New[int](1 << 20)
+	for i := 0; i < 100; i++ {
+		q.Push(i)
+	}
+	for q.Len() > 0 {
+		q.Pop()
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 100; i++ {
+			q.Push(i)
+		}
+		for q.Len() > 0 {
+			q.Pop()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per fill/drain after warm-up", allocs)
+	}
+}
