@@ -50,16 +50,9 @@ func main() {
 		return
 	}
 
-	var scale workloads.Scale
-	switch *scaleFlag {
-	case "tiny":
-		scale = workloads.Tiny
-	case "small":
-		scale = workloads.Small
-	case "ref":
-		scale = workloads.Ref
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scaleFlag)
+	scale, err := workloads.ParseScale(*scaleFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

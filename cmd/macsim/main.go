@@ -12,13 +12,16 @@
 //	       [-audit] [-chaos-profile mild|storm|delay=0.01:16:32,...]
 //	       [-chaos-seed 1] [-retry 3] [-retry-backoff 32]
 //	macsim -workload sg -numa 8 [-numa-topology ideal|ring|mesh]
-//	       [-threads 8] [-scale ...] [-seed ...]
-//	       [-chaos-profile ...] [-retry ...]
+//	       [-threads 8] [-scale ...] [-seed ...] [-design ...]
+//	       [-frontend ...] [-cube ...] [-chaos-profile ...] [-retry ...]
 //	macsim -list
 //
 // -numa switches to the multi-node system: one MAC and HMC device per
-// node behind the selected interconnect. The printed report is
-// deterministic, so two invocations can be compared byte-for-byte.
+// node behind the selected interconnect, each node configured by the
+// same flags as a single-node run. Flags without a multi-node meaning
+// (-in, -compare, -arq, -audit and the observability outputs) are
+// refused with exit status 2. The printed report is deterministic, so
+// two invocations can be compared byte-for-byte.
 //
 // A run with -audit prints the request-lifecycle conservation report
 // and exits non-zero if any invariant was violated. -chaos-profile
@@ -75,32 +78,48 @@ func main() {
 		os.Exit(2)
 	}
 
+	opts := mac3d.RunOptions{
+		Workload:   *workload,
+		Threads:    *threads,
+		Seed:       *seed,
+		Frontend:   *frontendFlag,
+		ARQEntries: *arq,
+		Cube:       *cubeFlag,
+		Audit:      *auditFlag,
+		Chaos:      mac3d.ChaosOptions{Profile: *chaosProfile, Seed: *chaosSeed},
+		Retry:      mac3d.RetryOptions{MaxRetries: *retryFlag, BackoffCycles: *retryBackoff},
+	}
+	var err error
+	if opts.Scale, err = mac3d.ParseScale(*scaleFlag); err != nil {
+		fmt.Fprintln(os.Stderr, "macsim:", err)
+		os.Exit(2)
+	}
+	if opts.Design, err = mac3d.ParseDesign(*designFlag); err != nil {
+		fmt.Fprintln(os.Stderr, "macsim:", err)
+		os.Exit(2)
+	}
+
 	if *numaNodes > 0 {
-		if *traceFile != "" || *compare {
-			fmt.Fprintln(os.Stderr, "macsim: -numa runs a workload on the multi-node system; drop -in/-compare")
-			os.Exit(2)
-		}
-		scale, err := mac3d.ParseScale(*scaleFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "macsim:", err)
-			os.Exit(2)
-		}
-		design, err := mac3d.ParseDesign(*designFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "macsim:", err)
-			os.Exit(2)
-		}
+		// The multi-node system has no counterpart for these: refuse
+		// them by name rather than silently dropping them.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "in", "compare", "arq", "audit", "metrics-out", "timeseries-out", "trace-out", "obs-interval":
+				fmt.Fprintf(os.Stderr, "macsim: -%s applies to single-node runs only; drop it or -numa\n", f.Name)
+				os.Exit(2)
+			}
+		})
 		nopts := mac3d.NUMAOptions{
-			Workload: *workload,
-			Threads:  *threads,
-			Seed:     *seed,
-			Scale:    scale,
-			Design:   design,
-			Frontend: *frontendFlag,
+			Workload: opts.Workload,
+			Threads:  opts.Threads,
+			Seed:     opts.Seed,
+			Scale:    opts.Scale,
+			Design:   opts.Design,
+			Frontend: opts.Frontend,
 			Nodes:    *numaNodes,
-			Cube:     *cubeFlag,
-			Chaos:    mac3d.ChaosOptions{Profile: *chaosProfile, Seed: *chaosSeed},
-			Retry:    mac3d.RetryOptions{MaxRetries: *retryFlag, BackoffCycles: *retryBackoff},
+			Cube:     opts.Cube,
+			Chaos:    opts.Chaos,
+			Retry:    opts.Retry,
 		}
 		if *numaTopo != "" {
 			nopts.NoC = &mac3d.NoCOptions{Topology: *numaTopo}
@@ -114,17 +133,6 @@ func main() {
 		return
 	}
 
-	opts := mac3d.RunOptions{
-		Workload:   *workload,
-		Threads:    *threads,
-		Seed:       *seed,
-		Frontend:   *frontendFlag,
-		ARQEntries: *arq,
-		Cube:       *cubeFlag,
-		Audit:      *auditFlag,
-		Chaos:      mac3d.ChaosOptions{Profile: *chaosProfile, Seed: *chaosSeed},
-		Retry:      mac3d.RetryOptions{MaxRetries: *retryFlag, BackoffCycles: *retryBackoff},
-	}
 	if *metricsOut != "" || *timeseriesOut != "" || *traceOut != "" {
 		if *compare {
 			fmt.Fprintln(os.Stderr, "macsim: observability flags need a single run; drop -compare")
@@ -161,16 +169,6 @@ func main() {
 			})
 		}
 	}
-	var err error
-	if opts.Scale, err = mac3d.ParseScale(*scaleFlag); err != nil {
-		fmt.Fprintln(os.Stderr, "macsim:", err)
-		os.Exit(2)
-	}
-	if opts.Design, err = mac3d.ParseDesign(*designFlag); err != nil {
-		fmt.Fprintln(os.Stderr, "macsim:", err)
-		os.Exit(2)
-	}
-
 	if *traceFile != "" {
 		f, err := os.Open(*traceFile)
 		if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -99,6 +100,22 @@ func TestMacsimSmoke(t *testing.T) {
 		}
 	})
 
+	// A routed open-page cube run is deterministic too, cube block
+	// included.
+	t.Run("cube ring golden", func(t *testing.T) {
+		out, err := exec.Command(bin, "-workload", "sg", "-scale", "tiny", "-cube", "ring,page=open,quad=2").Output()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", "cube-sg-ring-open.golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(out) != string(want) {
+			t.Errorf("output differs from testdata/cube-sg-ring-open.golden:\n%s", out)
+		}
+	})
+
 	t.Run("bad flags exit nonzero", func(t *testing.T) {
 		for _, args := range [][]string{
 			{"-workload", "sg", "-scale", "galactic"},
@@ -109,6 +126,30 @@ func TestMacsimSmoke(t *testing.T) {
 			if err := exec.Command(bin, args...).Run(); err == nil {
 				t.Errorf("macsim %v succeeded, want failure", args)
 			}
+		}
+		// -numa runs have no single-node knobs: each flag must be
+		// refused by name (exit 2), not silently dropped.
+		dir := t.TempDir()
+		for _, extra := range [][]string{
+			{"-arq", "4"},
+			{"-audit"},
+			{"-metrics-out", filepath.Join(dir, "m.txt")},
+			{"-timeseries-out", filepath.Join(dir, "ts.csv")},
+			{"-trace-out", filepath.Join(dir, "trace.json")},
+			{"-obs-interval", "32"},
+		} {
+			args := append([]string{"-workload", "sg", "-numa", "2"}, extra...)
+			out, err := exec.Command(bin, args...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Errorf("macsim %v: err %v, want exit status 2", args, err)
+			}
+			if !strings.Contains(string(out), extra[0]) {
+				t.Errorf("macsim %v: message does not name %s:\n%s", args, extra[0], out)
+			}
+		}
+		if _, err := os.Stat(filepath.Join(dir, "m.txt")); err == nil {
+			t.Error("refused -numa run still wrote -metrics-out")
 		}
 	})
 }

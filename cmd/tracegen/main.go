@@ -31,16 +31,9 @@ func main() {
 
 	switch {
 	case *workload != "":
-		var scale workloads.Scale
-		switch *scaleFlag {
-		case "tiny":
-			scale = workloads.Tiny
-		case "small":
-			scale = workloads.Small
-		case "ref":
-			scale = workloads.Ref
-		default:
-			fatal(fmt.Errorf("unknown scale %q", *scaleFlag))
+		scale, err := workloads.ParseScale(*scaleFlag)
+		if err != nil {
+			fatal(err)
 		}
 		tr, err := workloads.Generate(*workload, workloads.Config{
 			Threads: *threads, Seed: *seed, Scale: scale,

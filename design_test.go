@@ -8,26 +8,9 @@ import (
 )
 
 func TestDesignKindRoundTrip(t *testing.T) {
-	// The facade enum and the internal kind enum must stay one single
-	// mapping: every Design resolves to a distinct kind, every
-	// registered kind is reachable from a Design, and name parsing
-	// round-trips through both layers.
-	if got, want := len(Designs()), len(cpu.Kinds()); got != want {
-		t.Fatalf("%d designs vs %d internal kinds", got, want)
-	}
-	seen := map[cpu.CoalescerKind]Design{}
+	// Design is cpu.CoalescerKind, so every registered kind is a
+	// design; name parsing must round-trip through both layers.
 	for _, d := range Designs() {
-		k, err := d.kind()
-		if err != nil {
-			t.Fatalf("%v.kind(): %v", d, err)
-		}
-		if prev, dup := seen[k]; dup {
-			t.Fatalf("designs %v and %v map to the same kind %v", prev, d, k)
-		}
-		seen[k] = d
-		if d.String() != k.String() {
-			t.Fatalf("design name %q != kind name %q", d.String(), k.String())
-		}
 		back, err := ParseDesign(d.String())
 		if err != nil {
 			t.Fatalf("ParseDesign(%q): %v", d.String(), err)
@@ -35,17 +18,12 @@ func TestDesignKindRoundTrip(t *testing.T) {
 		if back != d {
 			t.Fatalf("ParseDesign(%q) = %v, want %v", d.String(), back, d)
 		}
-		pk, err := cpu.ParseKind(k.String())
+		pk, err := cpu.ParseKind(d.String())
 		if err != nil {
-			t.Fatalf("cpu.ParseKind(%q): %v", k.String(), err)
+			t.Fatalf("cpu.ParseKind(%q): %v", d.String(), err)
 		}
-		if pk != k {
-			t.Fatalf("cpu.ParseKind(%q) = %v, want %v", k.String(), pk, k)
-		}
-	}
-	for _, k := range cpu.Kinds() {
-		if _, ok := seen[k]; !ok {
-			t.Fatalf("internal kind %v has no facade design", k)
+		if pk != d {
+			t.Fatalf("cpu.ParseKind(%q) = %v, want %v", d.String(), pk, d)
 		}
 	}
 	if _, err := ParseDesign("quantum"); err == nil {

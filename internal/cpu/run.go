@@ -34,10 +34,14 @@ const (
 
 // Kinds returns every selectable coalescer kind, in display order.
 // This is the single authority on which frontends exist: the facade
-// Design enum, the CLI and the arena experiment all derive from it.
+// Design enum (an alias of CoalescerKind), the CLI and the arena
+// experiment all derive from it.
 func Kinds() []CoalescerKind {
 	return []CoalescerKind{WithMAC, WithoutMAC, WithMSHR, WithWarp, WithMemCache}
 }
+
+// valid reports whether k is one of Kinds.
+func (k CoalescerKind) valid() bool { return k >= WithMAC && k <= WithMemCache }
 
 // String names the kind.
 func (k CoalescerKind) String() string {
@@ -69,6 +73,25 @@ func ParseKind(s string) (CoalescerKind, error) {
 		names = append(names, k.String())
 	}
 	return 0, fmt.Errorf("cpu: unknown coalescer kind %q (have %v)", s, names)
+}
+
+// MarshalText renders the kind as its name, so kind fields are
+// JSON-stable strings ("mac") rather than bare ints.
+func (k CoalescerKind) MarshalText() ([]byte, error) {
+	if !k.valid() {
+		return nil, fmt.Errorf("cpu: unknown coalescer kind %d", int(k))
+	}
+	return []byte(k.String()), nil
+}
+
+// UnmarshalText parses a kind name.
+func (k *CoalescerKind) UnmarshalText(text []byte) error {
+	v, err := ParseKind(string(text))
+	if err != nil {
+		return err
+	}
+	*k = v
+	return nil
 }
 
 // RunConfig bundles everything one timed run needs.
@@ -108,6 +131,26 @@ func DefaultRunConfig() RunConfig {
 		HMC:      hmc.DefaultConfig(),
 		Kind:     WithMAC,
 	}
+}
+
+// Validate reports the first configuration error, or nil. It is the
+// one validator of a node's configuration: the facade's lowering and
+// the NUMA system, which replicates one RunConfig per node, both call
+// it. An unknown Kind is an error here because NewCoalescer would
+// otherwise fall back to the MAC.
+func (cfg RunConfig) Validate() error {
+	if !cfg.Kind.valid() {
+		return fmt.Errorf("cpu: unknown coalescer kind %d", int(cfg.Kind))
+	}
+	for _, validate := range [...]func() error{
+		cfg.Node.Validate, cfg.MAC.Validate, cfg.MSHR.Validate, cfg.Warp.Validate,
+		cfg.MemCache.Validate, cfg.HMC.Validate, cfg.Chaos.Validate, cfg.Retry.Validate,
+	} {
+		if err := validate(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // NewCoalescer constructs the coalescer selected by cfg.Kind,

@@ -27,10 +27,6 @@ type Submitter interface {
 // from its result cache.
 func ServiceSweep(ctx context.Context, api Submitter, opts Options) (*stats.Table, error) {
 	o := opts.withDefaults()
-	scale, err := serviceScale(o)
-	if err != nil {
-		return nil, err
-	}
 	threads := []int{2, 4, 8}
 
 	type cell struct {
@@ -47,7 +43,7 @@ func ServiceSweep(ctx context.Context, api Submitter, opts Options) (*stats.Tabl
 					Workload: name,
 					Threads:  th,
 					Seed:     o.Seed,
-					Scale:    scale,
+					Scale:    o.Scale,
 				},
 			}
 			data, err := json.Marshal(spec)
@@ -85,10 +81,4 @@ func ServiceSweep(ctx context.Context, api Submitter, opts Options) (*stats.Tabl
 	n := float64(len(o.Benchmarks))
 	t.AddRow("average", sums[0]/n, sums[1]/n, sums[2]/n)
 	return t, nil
-}
-
-// serviceScale lifts the internal workloads.Scale back to the facade
-// Scale the job spec speaks.
-func serviceScale(o Options) (mac3d.Scale, error) {
-	return mac3d.ParseScale(o.Scale.String())
 }

@@ -82,10 +82,6 @@ func (s *Suite) AblationServiceChaos() (*stats.Table, error) {
 // svcChaosJobs builds the sweep's job set: the ablation benchmarks at
 // two thread counts each.
 func (s *Suite) svcChaosJobs() ([]*svcChaosJob, error) {
-	scale, err := serviceScale(s.opts)
-	if err != nil {
-		return nil, err
-	}
 	var jobs []*svcChaosJob
 	for _, name := range s.ablationSet() {
 		for _, th := range []int{2, 4} {
@@ -93,7 +89,7 @@ func (s *Suite) svcChaosJobs() ([]*svcChaosJob, error) {
 				Kind: service.KindRun,
 				Run: &mac3d.RunOptions{
 					Workload: name, Threads: th,
-					Seed: s.opts.Seed, Scale: scale,
+					Seed: s.opts.Seed, Scale: s.opts.Scale,
 				},
 			}
 			data, err := json.Marshal(spec)

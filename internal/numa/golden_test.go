@@ -270,7 +270,7 @@ func runCaptures(t *testing.T, cs []capture) {
 func nodesConfig(nodes, cores int) Config {
 	cfg := DefaultConfig()
 	cfg.Nodes = nodes
-	cfg.CoresPerNode = cores
+	cfg.Tile.Node.Cores = cores
 	return cfg
 }
 
@@ -292,7 +292,7 @@ func chaosConfig(t *testing.T, preset string, seed uint64) Config {
 	p.LinkStall = 150
 	p.Seed = seed
 	cfg := routedConfig(noc.Ring, 8, 1, 5, 1)
-	cfg.Chaos = p
+	cfg.Tile.Chaos = p
 	return cfg
 }
 
@@ -330,10 +330,10 @@ func TestGoldenChaos(t *testing.T) {
 // thread's home node.
 func TestGoldenRetry(t *testing.T) {
 	cfg := nodesConfig(4, 2)
-	cfg.HMC.Faults.CRCErrorRate = 0.3
-	cfg.HMC.Faults.RetryLimit = 1
-	cfg.HMC.Faults.Seed = 5
-	cfg.Retry = memreq.RetryPolicy{MaxRetries: 8, Backoff: 16}
+	cfg.Tile.HMC.Faults.CRCErrorRate = 0.3
+	cfg.Tile.HMC.Faults.RetryLimit = 1
+	cfg.Tile.HMC.Faults.Seed = 5
+	cfg.Tile.Retry = memreq.RetryPolicy{MaxRetries: 8, Backoff: 16}
 	c := capture{"retry", cfg, func() *trace.Trace { return goldTrace(8, 64) },
 		27796, 384, 7110920, 512, 1014, 1014, 0, 9398}
 	res := c.run(t)
@@ -348,7 +348,7 @@ func TestGoldenRetry(t *testing.T) {
 func TestGoldenKinds(t *testing.T) {
 	kind := func(k cpu.CoalescerKind) Config {
 		cfg := nodesConfig(4, 2)
-		cfg.Kind = k
+		cfg.Tile.Kind = k
 		return cfg
 	}
 	mix := func() *trace.Trace { return goldMixTrace(7, 8, 400) }

@@ -55,7 +55,7 @@ func TestRingMeshDiverge(t *testing.T) {
 	run := func(topo string) *Result {
 		cfg := DefaultConfig()
 		cfg.Nodes = 16
-		cfg.CoresPerNode = 1
+		cfg.Tile.Node.Cores = 1
 		cfg.NoC = noc.Config{Topology: topo, LinkLatency: 5, LinkBandwidth: 2}
 		res, err := Run(cfg, goldTrace(16, 32))
 		if err != nil {
@@ -87,13 +87,13 @@ func TestRingMeshDiverge(t *testing.T) {
 func TestChaosLinkStallsPerturbRun(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes = 8
-	cfg.CoresPerNode = 2
+	cfg.Tile.Node.Cores = 2
 	cfg.NoC = noc.Config{Topology: noc.Ring, LinkLatency: 5, LinkBandwidth: 1}
 	base, err := Run(cfg, goldTrace(8, 48))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Chaos = chaos.Profile{LinkRate: 0.05, LinkStall: 200, Seed: 42}
+	cfg.Tile.Chaos = chaos.Profile{LinkRate: 0.05, LinkStall: 200, Seed: 42}
 	perturbed, err := Run(cfg, goldTrace(8, 48))
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,6 @@ import (
 
 	"mac3d/internal/addr"
 	"mac3d/internal/chaos"
-	"mac3d/internal/coalesce"
 	"mac3d/internal/core"
 	"mac3d/internal/cpu"
 	"mac3d/internal/hmc"
@@ -32,12 +31,11 @@ import (
 	"mac3d/internal/trace"
 )
 
-// Config parameterizes the multi-node system.
+// Config parameterizes the multi-node system: Nodes copies of one
+// single-node tile joined by the interconnect.
 type Config struct {
 	// Nodes is the node count (each with cores, MAC and HMC).
 	Nodes int
-	// CoresPerNode is the core count of each node.
-	CoresPerNode int
 	// InterleaveBytes is the block size of the global address
 	// interleave across nodes (default: one 256B row).
 	InterleaveBytes uint64
@@ -47,36 +45,18 @@ type Config struct {
 	// cycle of the pre-NoC point-to-point model. NoC.Nodes may be left
 	// 0 to inherit Nodes; a non-zero value must agree with it.
 	NoC noc.Config
-	// Chaos injects deterministic adversity into the run. Only the
-	// link stressor acts at the NUMA level (transient NoC link stalls,
-	// requiring a routed NoC topology); the node-internal stressors
-	// belong to the single-node cpu driver and are inert here.
-	Chaos chaos.Profile
-	// Kind selects each node's coalescer frontend (default WithMAC);
-	// every node runs the same design.
-	Kind cpu.CoalescerKind
-	// MAC configures each node's coalescer.
-	MAC core.Config
-	// Warp and MemCache parameterize the SIMT and die-stacked
-	// frontends when Kind selects them; the zero value takes the
-	// package defaults.
-	Warp     coalesce.WarpConfig
-	MemCache coalesce.MemCacheConfig
-	// HMC configures each node's device.
-	HMC hmc.Config
-	// SPMLatency and MaxOutstanding mirror cpu.Config.
-	SPMLatency     sim.Cycle
-	MaxOutstanding int
-	// StallLimit is the simulation watchdog bound: a run making no
-	// forward progress for this many cycles aborts with a diagnostic
-	// error instead of spinning to MaxCycles. 0 disables it.
-	StallLimit sim.Cycle
-	// MaxCycles aborts a run that fails to drain.
-	MaxCycles sim.Cycle
-	// Retry is the requester-side poison-recovery policy: poisoned
-	// completions are re-issued by the originating node's router up
-	// to the policy's budget. The zero value keeps fail-on-poison.
-	Retry memreq.RetryPolicy
+	// Tile is the single-node configuration every node replicates:
+	// Tile.Node.Cores cores per node, the Kind frontend with its
+	// MAC/MSHR/Null/Warp/MemCache settings, the HMC device, the
+	// request-router queue depths and the run limits. Tile.Retry
+	// re-issues poisoned completions at the originating node's
+	// router. Of Tile.Chaos only the link stressor (transient NoC link
+	// stalls, on a routed topology) and the cubelink stressor (on a
+	// routed cube) act; the node-internal stressors belong to the
+	// single-node driver and are inert here. Run attaches Tile.Obs.
+	// Tile.Audit and a bounded Tile.Node.TargetBufferDepth are
+	// single-node features Validate rejects.
+	Tile cpu.RunConfig
 }
 
 // DefaultConfig returns a 2-node system with Table 1 nodes and an
@@ -85,15 +65,9 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Nodes:           2,
-		CoresPerNode:    8,
 		InterleaveBytes: addr.RowBytes,
 		NoC:             noc.Config{Topology: noc.Ideal, LinkLatency: 330, LinkBandwidth: 2},
-		MAC:             core.DefaultConfig(),
-		HMC:             hmc.DefaultConfig(),
-		SPMLatency:      4,
-		MaxOutstanding:  256,
-		StallLimit:      1_000_000,
-		MaxCycles:       2_000_000_000,
+		Tile:            cpu.DefaultRunConfig(),
 	}
 }
 
@@ -102,53 +76,19 @@ func (c Config) Validate() error {
 	switch {
 	case c.Nodes <= 0:
 		return fmt.Errorf("numa: Nodes must be positive, got %d", c.Nodes)
-	case c.CoresPerNode <= 0:
-		return fmt.Errorf("numa: CoresPerNode must be positive, got %d", c.CoresPerNode)
-	case c.MaxOutstanding <= 0:
-		return fmt.Errorf("numa: MaxOutstanding must be positive, got %d", c.MaxOutstanding)
-	case c.MaxCycles == 0:
-		return fmt.Errorf("numa: MaxCycles must be positive")
-	}
-	if c.NoC.Nodes != 0 && c.NoC.Nodes != c.Nodes {
+	case c.NoC.Nodes != 0 && c.NoC.Nodes != c.Nodes:
 		return fmt.Errorf("numa: NoC.Nodes=%d disagrees with Nodes=%d (leave it 0 to inherit)",
 			c.NoC.Nodes, c.Nodes)
+	case c.Tile.Audit:
+		return fmt.Errorf("numa: Tile.Audit is a single-node feature")
+	case c.Tile.Node.TargetBufferDepth != 0:
+		return fmt.Errorf("numa: Tile.Node.TargetBufferDepth is a single-node feature, got %d",
+			c.Tile.Node.TargetBufferDepth)
 	}
 	if err := c.nocConfig().Validate(); err != nil {
 		return err
 	}
-	if err := c.Chaos.Validate(); err != nil {
-		return err
-	}
-	if err := c.MAC.Validate(); err != nil {
-		return err
-	}
-	cc := c.coalescerConfig()
-	if err := cc.Warp.Validate(); err != nil {
-		return err
-	}
-	if err := cc.MemCache.Validate(); err != nil {
-		return err
-	}
-	if err := c.Retry.Validate(); err != nil {
-		return err
-	}
-	return c.HMC.Validate()
-}
-
-// coalescerConfig lowers the per-node frontend selection onto a
-// cpu.RunConfig, so both drivers construct coalescers through the one
-// Kind switch. Zero-value frontend configs take the package defaults.
-func (c Config) coalescerConfig() cpu.RunConfig {
-	rc := cpu.DefaultRunConfig()
-	rc.Kind = c.Kind
-	rc.MAC = c.MAC
-	if c.Warp != (coalesce.WarpConfig{}) {
-		rc.Warp = c.Warp
-	}
-	if c.MemCache != (coalesce.MemCacheConfig{}) {
-		rc.MemCache = c.MemCache
-	}
-	return rc
+	return c.Tile.Validate()
 }
 
 // nocConfig is Config.NoC spanning every node, defaults filled.
@@ -238,7 +178,7 @@ type node struct {
 
 	// inflightReq remembers the raw request behind each in-flight
 	// (thread, tag) homed on this node, so a poisoned completion can
-	// be re-issued; populated only while Config.Retry is on.
+	// be re-issued; populated only while Tile.Retry is on.
 	inflightReq map[reqKey]*reqAttempt
 	// retryPend holds this node's re-issues waiting out their backoff.
 	retryPend []retryPend
@@ -256,7 +196,7 @@ type Result struct {
 	// because their transaction's response was poisoned.
 	FailedRequests uint64
 	// RetriedRequests counts poisoned completions re-issued under
-	// Config.Retry (once per re-issue).
+	// Tile.Retry (once per re-issue).
 	RetriedRequests uint64
 	// RetireUnderflows and Misrouted count malformed deliveries
 	// survived instead of panicking.
@@ -356,7 +296,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.InterleaveBytes == 0 {
 		cfg.InterleaveBytes = addr.RowBytes
 	}
-	s := &System{cfg: cfg, watchdog: sim.NewWatchdog(cfg.StallLimit)}
+	s := &System{cfg: cfg, watchdog: sim.NewWatchdog(cfg.Tile.Node.StallLimit)}
 	ncfg := cfg.nocConfig()
 	fab, err := noc.New[payload](ncfg)
 	if err != nil {
@@ -377,22 +317,22 @@ func NewSystem(cfg Config) (*System, error) {
 		// keeps going until the injection queue fills.
 		s.reqBudget = 1 << 30
 	}
-	eng, err := chaos.NewEngine(cfg.Chaos, 0)
+	eng, err := chaos.NewEngine(cfg.Tile.Chaos, 0)
 	if err != nil {
 		return nil, fmt.Errorf("numa: %w", err)
 	}
 	s.chaos = eng
 	s.chaos.SetLinks(s.fab.Links())
 	for i := 0; i < cfg.Nodes; i++ {
-		rcfg := core.DefaultRouterConfig()
+		rcfg := cfg.Tile.Node.Router
 		rcfg.NodeID = i
 		rcfg.Nodes = cfg.Nodes
 		rcfg.InterleaveBytes = cfg.InterleaveBytes
-		dev, err := hmc.NewDevice(cfg.HMC)
+		dev, err := hmc.NewDevice(cfg.Tile.HMC)
 		if err != nil {
 			return nil, err
 		}
-		coal, err := cfg.coalescerConfig().NewCoalescer()
+		coal, err := cfg.Tile.NewCoalescer()
 		if err != nil {
 			return nil, fmt.Errorf("numa: node %d: %w", i, err)
 		}
@@ -413,7 +353,7 @@ func NewSystem(cfg Config) (*System, error) {
 		if rec, ok := nd.coal.(memreq.Recycler); ok {
 			nd.rec = rec
 		}
-		if cfg.Retry.Enabled() {
+		if cfg.Tile.Retry.Enabled() {
 			nd.inflightReq = make(map[reqKey]*reqAttempt)
 		}
 		s.nodes = append(s.nodes, nd)
@@ -447,7 +387,8 @@ func (s *System) AttachObs(o *obs.Obs) {
 }
 
 // Load distributes a trace's threads across nodes: thread t is homed
-// on node t % Nodes, so every node runs at most CoresPerNode threads.
+// on node t % Nodes, so every node runs at most Tile.Node.Cores
+// threads.
 func (s *System) Load(tr *trace.Trace) error {
 	counts := make([]int, s.cfg.Nodes)
 	for th, events := range tr.Threads {
@@ -456,9 +397,9 @@ func (s *System) Load(tr *trace.Trace) error {
 		}
 	}
 	for n, c := range counts {
-		if c > s.cfg.CoresPerNode {
+		if c > s.cfg.Tile.Node.Cores {
 			return fmt.Errorf("numa: node %d would run %d threads with %d cores",
-				n, c, s.cfg.CoresPerNode)
+				n, c, s.cfg.Tile.Node.Cores)
 		}
 	}
 	for _, nd := range s.nodes {
@@ -490,7 +431,7 @@ func (s *System) thread(id uint16) *threadState {
 // node in id order, then advances the fabric, lands its arrivals,
 // samples the recorder and checks the exit conditions.
 func (s *System) Run() (*Result, error) {
-	for now := sim.Cycle(0); now < s.cfg.MaxCycles; now++ {
+	for now := sim.Cycle(0); now < s.cfg.Tile.Node.MaxCycles; now++ {
 		s.tickChaos(now)
 		for _, nd := range s.nodes {
 			s.pumpRetries(nd, now)
@@ -511,7 +452,7 @@ func (s *System) Run() (*Result, error) {
 			return nil, s.stallError(now)
 		}
 	}
-	return nil, fmt.Errorf("numa: run exceeded MaxCycles=%d", s.cfg.MaxCycles)
+	return nil, fmt.Errorf("numa: run exceeded MaxCycles=%d", s.cfg.Tile.Node.MaxCycles)
 }
 
 // stallError renders the watchdog diagnostic: per-node queue
@@ -531,7 +472,7 @@ func (s *System) stallError(now sim.Cycle) error {
 		kvs = append(kvs, stats.KV{Key: fmt.Sprintf("node %d", nd.id), Value: line})
 	}
 	return fmt.Errorf("numa: no forward progress for %d cycles at cycle %d (lost response or resource leak?)\n%s",
-		s.cfg.StallLimit, now, stats.FormatKV(kvs))
+		s.cfg.Tile.Node.StallLimit, now, stats.FormatKV(kvs))
 }
 
 func (s *System) tickThreads(nd *node, now sim.Cycle) {
@@ -553,7 +494,7 @@ func (s *System) tickThreads(nd *node, now sim.Cycle) {
 		}
 		e := t.events[t.pc]
 		if e.Op.IsMemory() && addr.IsSPM(e.Addr) {
-			t.spmBusy = now + s.cfg.SPMLatency
+			t.spmBusy = now + s.cfg.Tile.Node.SPMLatency
 			t.retired++
 			s.progress++
 			s.spmAccesses++
@@ -572,7 +513,7 @@ func (s *System) tickThreads(nd *node, now sim.Cycle) {
 			s.advance(t)
 			continue
 		}
-		if t.outstanding >= s.cfg.MaxOutstanding {
+		if t.outstanding >= s.cfg.Tile.Node.MaxOutstanding {
 			continue
 		}
 		req := memreq.RawRequest{
@@ -592,7 +533,7 @@ func (s *System) tickThreads(nd *node, now sim.Cycle) {
 		t.retired++
 		s.progress++
 		s.memRequests++
-		if s.cfg.Retry.Enabled() {
+		if s.cfg.Tile.Retry.Enabled() {
 			nd.inflightReq[reqKey{req.Thread, req.Tag}] = &reqAttempt{req: req}
 		}
 		if nd.router.Dest(e.Addr) != nd.id {
@@ -758,7 +699,7 @@ func (s *System) retire(tgt memreq.Target, now sim.Cycle, poisoned bool) {
 	if poisoned {
 		s.failedRequests++
 	}
-	if s.cfg.Retry.Enabled() {
+	if s.cfg.Tile.Retry.Enabled() {
 		delete(home.inflightReq, reqKey{tgt.Thread, tgt.Tag})
 	}
 	if issue, ok := t.issuedAt[tgt.Tag]; ok {
@@ -771,15 +712,15 @@ func (s *System) retire(tgt memreq.Target, now sim.Cycle, poisoned bool) {
 // node if the retry policy has budget left; it reports whether the
 // retirement should be suppressed.
 func (s *System) scheduleRetry(home *node, tgt memreq.Target, now sim.Cycle) bool {
-	if !s.cfg.Retry.Enabled() {
+	if !s.cfg.Tile.Retry.Enabled() {
 		return false
 	}
 	a, ok := home.inflightReq[reqKey{tgt.Thread, tgt.Tag}]
-	if !ok || a.attempts >= s.cfg.Retry.MaxRetries {
+	if !ok || a.attempts >= s.cfg.Tile.Retry.MaxRetries {
 		return false
 	}
 	a.attempts++
-	home.retryPend = append(home.retryPend, retryPend{due: now + s.cfg.Retry.Backoff, req: a.req})
+	home.retryPend = append(home.retryPend, retryPend{due: now + s.cfg.Tile.Retry.Backoff, req: a.req})
 	return true
 }
 
@@ -855,18 +796,15 @@ func (s *System) result(cycles sim.Cycle) *Result {
 	return r
 }
 
-// Run is a convenience wrapper: build, load, run.
+// Run is a convenience wrapper: build, attach cfg.Tile.Obs, load, run.
 func Run(cfg Config, tr *trace.Trace) (*Result, error) {
 	s, err := NewSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
+	s.AttachObs(cfg.Tile.Obs)
 	if err := s.Load(tr); err != nil {
 		return nil, err
 	}
 	return s.Run()
 }
-
-// ensure cpu package linkage for doc cross-reference (the single-node
-// model remains the evaluated configuration).
-var _ = cpu.DefaultConfig

@@ -33,12 +33,12 @@ func TestConfigValidate(t *testing.T) {
 	}
 	bad := []func(*Config){
 		func(c *Config) { c.Nodes = 0 },
-		func(c *Config) { c.CoresPerNode = 0 },
+		func(c *Config) { c.Tile.Node.Cores = 0 },
 		func(c *Config) { c.NoC.LinkBandwidth = -1 },
-		func(c *Config) { c.MaxOutstanding = 0 },
-		func(c *Config) { c.MaxCycles = 0 },
-		func(c *Config) { c.MAC.ARQ.Entries = 0 },
-		func(c *Config) { c.HMC.Links = 0 },
+		func(c *Config) { c.Tile.Node.MaxOutstanding = 0 },
+		func(c *Config) { c.Tile.Node.MaxCycles = 0 },
+		func(c *Config) { c.Tile.MAC.ARQ.Entries = 0 },
+		func(c *Config) { c.Tile.HMC.Links = 0 },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig()
@@ -113,7 +113,7 @@ func TestRemoteLatencyVisible(t *testing.T) {
 func TestTooManyThreadsPerNodeRejected(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes = 2
-	cfg.CoresPerNode = 1
+	cfg.Tile.Node.Cores = 1
 	// 4 threads -> 2 per node, but only 1 core per node.
 	if _, err := Run(cfg, seqTrace(4, 8)); err == nil {
 		t.Fatal("over-subscription accepted")
@@ -179,7 +179,7 @@ func TestWorkloadThroughNUMA(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Nodes = 4
-	cfg.CoresPerNode = 2
+	cfg.Tile.Node.Cores = 2
 	res, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +202,7 @@ func TestConservationProperty(t *testing.T) {
 		inter := uint64(256) << (interRaw % 4)
 		cfg := DefaultConfig()
 		cfg.Nodes = nodes
-		cfg.CoresPerNode = 8
+		cfg.Tile.Node.Cores = 8
 		cfg.InterleaveBytes = inter
 		cfg.NoC.LinkLatency = sim.Cycle(1 + latRaw%200)
 
@@ -298,10 +298,10 @@ func TestObservedSystem(t *testing.T) {
 func TestRetryConvergesAcrossNodes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes = 2
-	cfg.HMC.Faults.CRCErrorRate = 0.3
-	cfg.HMC.Faults.RetryLimit = 1
-	cfg.HMC.Faults.Seed = 5
-	cfg.Retry = memreq.RetryPolicy{MaxRetries: 8, Backoff: 16}
+	cfg.Tile.HMC.Faults.CRCErrorRate = 0.3
+	cfg.Tile.HMC.Faults.RetryLimit = 1
+	cfg.Tile.HMC.Faults.Seed = 5
+	cfg.Tile.Retry = memreq.RetryPolicy{MaxRetries: 8, Backoff: 16}
 	res, err := Run(cfg, seqTrace(4, 64))
 	if err != nil {
 		t.Fatalf("retrying NUMA run: %v", err)
@@ -327,9 +327,9 @@ func TestRetryConvergesAcrossNodes(t *testing.T) {
 func TestRetryBudgetExhaustsAcrossNodes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes = 2
-	cfg.HMC.Faults.CRCErrorRate = 1.0
-	cfg.HMC.Faults.RetryLimit = 1
-	cfg.Retry = memreq.RetryPolicy{MaxRetries: 2, Backoff: 4}
+	cfg.Tile.HMC.Faults.CRCErrorRate = 1.0
+	cfg.Tile.HMC.Faults.RetryLimit = 1
+	cfg.Tile.Retry = memreq.RetryPolicy{MaxRetries: 2, Backoff: 4}
 	res, err := Run(cfg, seqTrace(2, 16))
 	if err != nil {
 		t.Fatalf("NUMA run under certain poison: %v", err)
@@ -339,5 +339,36 @@ func TestRetryBudgetExhaustsAcrossNodes(t *testing.T) {
 	}
 	if res.RetriedRequests != 2*res.MemRequests {
 		t.Fatalf("RetriedRequests = %d, want %d", res.RetriedRequests, 2*res.MemRequests)
+	}
+}
+
+// TestConfigRejectsSingleNodeFeatures: the tile settings only the
+// single-node driver implements are errors, not silently ignored.
+func TestConfigRejectsSingleNodeFeatures(t *testing.T) {
+	for name, mutate := range map[string]func(*Config){
+		"audit":         func(c *Config) { c.Tile.Audit = true },
+		"target buffer": func(c *Config) { c.Tile.Node.TargetBufferDepth = 4 },
+		"unknown kind":  func(c *Config) { c.Tile.Kind = 42 },
+	} {
+		cfg := DefaultConfig()
+		mutate(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if _, err := Run(cfg, seqTrace(2, 8)); err == nil {
+			t.Errorf("%s: Run accepted", name)
+		}
+	}
+}
+
+// TestRunAttachesTileObs: Run wires Tile.Obs in, as cpu.Run does.
+func TestRunAttachesTileObs(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Tile.Obs = obs.New(1, 1<<10)
+	if _, err := Run(cfg, seqTrace(4, 32)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := cfg.Tile.Obs.Registry.Get("numa.remote_requests"); !ok {
+		t.Fatal("Run left Tile.Obs unattached")
 	}
 }

@@ -25,6 +25,8 @@ func TestParseSpecAcceptsFrontendDesigns(t *testing.T) {
 		`{"kind":"run","run":{"workload":"sg","design":"warp","frontend":"lanes=16,warps=8"}}`,
 		`{"kind":"run","run":{"workload":"sg","design":"memcache","frontend":"split=0.25,cache=65536"}}`,
 		`{"kind":"numa","numa":{"workload":"sg","design":"memcache"}}`,
+		`{"kind":"numa","numa":{"workload":"sg","design":"warp","frontend":"lanes=16"}}`,
+		`{"kind":"numa","numa":{"workload":"sg","design":"memcache","frontend":"split=0.25"}}`,
 	} {
 		s, err := ParseSpec([]byte(in))
 		if err != nil {
@@ -62,6 +64,52 @@ func TestHashEquivalentSpecsAgree(t *testing.T) {
 	cb, _ := b.Canonical()
 	if !bytes.Equal(ca, cb) {
 		t.Fatalf("canonical bytes differ:\n%s\n%s", ca, cb)
+	}
+}
+
+// TestSpecHashesPinned pins the cache key of every valid spec in the
+// FuzzParseSpec corpus (seeds and testdata), plus a numa spec setting
+// every shared block. A key that moves orphans every cached result and
+// journal record written under the old one.
+func TestSpecHashesPinned(t *testing.T) {
+	for _, c := range []struct{ spec, hash string }{
+		{`{"kind":"run","run":{"workload":"sg"}}`,
+			"ca3bd5127b8bbd2516e04894b62441af3a585d4dd524140ac980e4ce8210d72b"},
+		{`{"kind":"compare","run":{"workload":"bfs","seed":7,"threads":4}}`,
+			"969c9276abf7c7356a04582fcce8a0965c8a2abec591e30139dec808958b3216"},
+		{`{"kind":"numa","numa":{"workload":"is","nodes":2,"cores_per_node":4}}`,
+			"247dc34af058771bb51c3b21a2e7f54c93f6a7ef33ca2052954231e783b9f5fc"},
+		{`{"version":1,"kind":"run","run":{"workload":"mg","scale":"tiny","design":"mshr"}}`,
+			"ed0c506b245b88e9688e4759d37715d3994df7003d905ff46a24d69ee3bfb0e5"},
+		{`{"kind":"run","run":{"workload":"sg","observe":{"enabled":true,"sample_interval":64,"trace":true}}}`,
+			"4fc733292c24c64e0964e35bdb5818a70736f33774f6a3205da54f8524baf70e"},
+		{`{"kind":"run","run":{"workload":"sg","faults":{"crc_error_rate":0.01,"link_fail_rate":0.001}}}`,
+			"b2392262fe8c3137d5c18c2fe337f11e70c771ae89f4f1786930fca74ccd75b2"},
+		{`{"kind":"run","run":{"workload":"sg","chaos":{"profile":"mild"},"retry":{"max_retries":3}}}`,
+			"d41d4630c428f57e6462daee0f03c7b90b59481904049733e0ddae44bb1aa8cc"},
+		{`{"kind":"run","run":{"workload":"sg","cube":"ring,page=open"}}`,
+			"bee4b309f317b61ed96bd63008c443e4f02123dd4f72d762c47883e723f7290a"},
+		{`{"kind":"numa","numa":{"workload":"sg","cube":"mesh,quad=2","chaos":{"profile":"cubelink=0.01:64"}}}`,
+			"762699568ba1a48bc2d172336cfbaf073926a98df1f1477cce9efc264a562511"},
+		{`{"version":3,"kind":"numa","numa":{"workload":"sg","nodes":8,"noc":{"topology":"mesh"},"parallel":4}}`,
+			"34b273d2d20e39de609c66bd0ce388500dc7d8f2ef564d6917cdb8030c373e13"},
+		{`{"kind":"compare","run":{"workload":"bfs","seed":9}}`,
+			"33828514d1204b2a82f45d92651c7c01d3f850949d2a9604cfadc0a0fe1c148d"},
+		{`{"kind":"numa","numa":{"workload":"is","nodes":4}}`,
+			"f26eac72280f1611a6495c31da9ab55af47086116d4becae71bb1f1f7850cc29"},
+		{`{"kind":"numa","numa":{"workload":"sg","nodes":8,"cores_per_node":1,"noc":{"topology":"mesh","mesh_cols":4},"chaos":{"profile":"link=0.01:100"}}}`,
+			"6b802c72f917ce9136a188f6a6d00e2cc71bca27216cbc49434f94826467e0e5"},
+		{`{"kind":"numa","numa":{"workload":"sg","nodes":4,"cube":"ring,page=open","chaos":{"profile":"link=0.01:40","seed":7},"retry":{"max_retries":2},"noc":{"topology":"mesh"}}}`,
+			"384ddd59e115ecee56e6110f8269a66701d5801351780726496b7979e811249f"},
+	} {
+		s, err := ParseSpec([]byte(c.spec))
+		if err != nil {
+			t.Errorf("ParseSpec(%s): %v", c.spec, err)
+			continue
+		}
+		if h, err := s.Hash(); err != nil || h != c.hash {
+			t.Errorf("Hash(%s) = %s (err %v), want %s", c.spec, h, err, c.hash)
+		}
 	}
 }
 

@@ -33,18 +33,45 @@ const (
 	Ref
 )
 
+// scaleNames spells each scale, indexed by value.
+var scaleNames = [...]string{Tiny: "tiny", Small: "small", Ref: "ref"}
+
 // String names the scale.
 func (s Scale) String() string {
-	switch s {
-	case Tiny:
-		return "tiny"
-	case Small:
-		return "small"
-	case Ref:
-		return "ref"
-	default:
+	if s < Tiny || s > Ref {
 		return fmt.Sprintf("Scale(%d)", int(s))
 	}
+	return scaleNames[s]
+}
+
+// ParseScale resolves a scale name ("tiny", "small" or "ref"). It is
+// the one parser of scale names: flags, job specs and JSON all use it.
+func ParseScale(name string) (Scale, error) {
+	for s, n := range scaleNames {
+		if n == name {
+			return Scale(s), nil
+		}
+	}
+	return 0, fmt.Errorf("workloads: unknown scale %q (want tiny, small or ref)", name)
+}
+
+// MarshalText renders the scale as its name, so Scale fields are
+// JSON-stable strings ("tiny") rather than bare ints.
+func (s Scale) MarshalText() ([]byte, error) {
+	if s < Tiny || s > Ref {
+		return nil, fmt.Errorf("workloads: unknown scale %d", int(s))
+	}
+	return []byte(scaleNames[s]), nil
+}
+
+// UnmarshalText parses a scale name.
+func (s *Scale) UnmarshalText(text []byte) error {
+	v, err := ParseScale(string(text))
+	if err != nil {
+		return err
+	}
+	*s = v
+	return nil
 }
 
 // Config parameterizes trace generation.

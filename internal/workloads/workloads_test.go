@@ -445,3 +445,20 @@ func TestHPCGMatrixShape(t *testing.T) {
 		t.Fatalf("corner degree %d, want 8", deg0)
 	}
 }
+
+func TestParseScale(t *testing.T) {
+	for _, s := range []Scale{Tiny, Small, Ref} {
+		got, err := ParseScale(s.String())
+		if err != nil || got != s {
+			t.Fatalf("ParseScale(%q) = %v, %v", s.String(), got, err)
+		}
+	}
+	for _, bad := range []string{"", "huge", "Tiny", "0"} {
+		if _, err := ParseScale(bad); err == nil {
+			t.Errorf("ParseScale(%q) accepted", bad)
+		}
+	}
+	if b, err := Scale(9).MarshalText(); err == nil {
+		t.Errorf("unknown scale marshalled as %q", b)
+	}
+}

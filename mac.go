@@ -23,12 +23,9 @@ package mac3d
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 
 	"mac3d/internal/chaos"
 	"mac3d/internal/coalesce"
-	"mac3d/internal/core"
 	"mac3d/internal/cpu"
 	"mac3d/internal/hmc"
 	"mac3d/internal/memreq"
@@ -37,170 +34,52 @@ import (
 	"mac3d/internal/workloads"
 )
 
-// Scale selects a workload input size class.
-type Scale int
+// Scale selects a workload input size class. It is the internal
+// workloads.Scale: its JSON form is the scale name ("tiny").
+type Scale = workloads.Scale
 
 const (
 	// ScaleTiny runs in milliseconds (tests, smoke runs).
-	ScaleTiny Scale = iota
+	ScaleTiny = workloads.Tiny
 	// ScaleSmall is the default experiment size (seconds).
-	ScaleSmall
+	ScaleSmall = workloads.Small
 	// ScaleRef approximates the paper's working sets (minutes).
-	ScaleRef
+	ScaleRef = workloads.Ref
 )
 
-func (s Scale) String() string {
-	switch s {
-	case ScaleTiny:
-		return "tiny"
-	case ScaleSmall:
-		return "small"
-	case ScaleRef:
-		return "ref"
-	default:
-		return fmt.Sprintf("Scale(%d)", int(s))
-	}
-}
-
 // ParseScale parses a scale name ("tiny", "small", "ref").
-func ParseScale(s string) (Scale, error) {
-	switch s {
-	case "tiny":
-		return ScaleTiny, nil
-	case "small":
-		return ScaleSmall, nil
-	case "ref":
-		return ScaleRef, nil
-	default:
-		return 0, fmt.Errorf("mac3d: unknown scale %q (want tiny, small or ref)", s)
-	}
-}
+func ParseScale(s string) (Scale, error) { return workloads.ParseScale(s) }
 
-// MarshalText renders the scale as its name, making Scale fields
-// JSON-stable strings ("tiny") rather than bare ints.
-func (s Scale) MarshalText() ([]byte, error) {
-	if _, err := s.internal(); err != nil {
-		return nil, err
-	}
-	return []byte(s.String()), nil
-}
-
-// UnmarshalText parses a scale name.
-func (s *Scale) UnmarshalText(text []byte) error {
-	v, err := ParseScale(string(text))
-	if err != nil {
-		return err
-	}
-	*s = v
-	return nil
-}
-
-func (s Scale) internal() (workloads.Scale, error) {
-	switch s {
-	case ScaleTiny:
-		return workloads.Tiny, nil
-	case ScaleSmall:
-		return workloads.Small, nil
-	case ScaleRef:
-		return workloads.Ref, nil
-	default:
-		return 0, fmt.Errorf("mac3d: unknown scale %d", int(s))
-	}
-}
-
-// Design selects the memory-path design under test.
-type Design int
+// Design selects the memory-path design under test. It is the
+// internal cpu.CoalescerKind: its JSON form is the design name
+// ("mac").
+type Design = cpu.CoalescerKind
 
 const (
 	// DesignMAC is the paper's Memory Access Coalescer.
-	DesignMAC Design = iota
+	DesignMAC = cpu.WithMAC
 	// DesignRaw is the uncoalesced FLIT-granularity path (the
 	// paper's "without MAC" baseline).
-	DesignRaw
+	DesignRaw = cpu.WithoutMAC
 	// DesignMSHR is the conventional 64B miss-merging coalescer of
 	// the paper's §2.3 limitation discussion.
-	DesignMSHR
+	DesignMSHR = cpu.WithMSHR
 	// DesignWarp is the SIMT warp-lane coalescer: lanes gather into
 	// warps served one leader-relative SameAddress/SameBlock mask
 	// group per cycle, with warp suspend/resume.
-	DesignWarp
+	DesignWarp = cpu.WithWarp
 	// DesignMemCache is the die-stacked memory+cache frontend: a
 	// hash-partitioned share of the stacked DRAM acts as an inclusive
 	// cache, the rest as directly addressed memory.
-	DesignMemCache
+	DesignMemCache = cpu.WithMemCache
 )
 
-// designKinds is the single mapping between the facade Design enum and
-// the internal cpu.CoalescerKind. Names, parsing, JSON marshalling and
-// run lowering all derive from it, so adding a frontend is one entry
-// here plus its cpu constructor case.
-var designKinds = map[Design]cpu.CoalescerKind{
-	DesignMAC:      cpu.WithMAC,
-	DesignRaw:      cpu.WithoutMAC,
-	DesignMSHR:     cpu.WithMSHR,
-	DesignWarp:     cpu.WithWarp,
-	DesignMemCache: cpu.WithMemCache,
-}
-
 // Designs returns every selectable design, in display order.
-func Designs() []Design {
-	return []Design{DesignMAC, DesignRaw, DesignMSHR, DesignWarp, DesignMemCache}
-}
-
-// kind resolves the internal coalescer kind implementing d.
-func (d Design) kind() (cpu.CoalescerKind, error) {
-	k, ok := designKinds[d]
-	if !ok {
-		return 0, fmt.Errorf("mac3d: unknown design %d", int(d))
-	}
-	return k, nil
-}
-
-func (d Design) String() string {
-	if k, ok := designKinds[d]; ok {
-		return k.String()
-	}
-	return fmt.Sprintf("Design(%d)", int(d))
-}
-
-// designNames lists the selectable design names, in display order.
-func designNames() []string {
-	names := make([]string, 0, len(Designs()))
-	for _, d := range Designs() {
-		names = append(names, d.String())
-	}
-	return names
-}
+func Designs() []Design { return cpu.Kinds() }
 
 // ParseDesign parses a design name ("mac", "raw", "mshr", "warp",
 // "memcache").
-func ParseDesign(s string) (Design, error) {
-	for _, d := range Designs() {
-		if d.String() == s {
-			return d, nil
-		}
-	}
-	return 0, fmt.Errorf("mac3d: unknown design %q (want %s)", s, strings.Join(designNames(), ", "))
-}
-
-// MarshalText renders the design as its name, making Design fields
-// JSON-stable strings ("mac") rather than bare ints.
-func (d Design) MarshalText() ([]byte, error) {
-	if _, err := ParseDesign(d.String()); err != nil {
-		return nil, fmt.Errorf("mac3d: unknown design %d", int(d))
-	}
-	return []byte(d.String()), nil
-}
-
-// UnmarshalText parses a design name.
-func (d *Design) UnmarshalText(text []byte) error {
-	v, err := ParseDesign(string(text))
-	if err != nil {
-		return err
-	}
-	*d = v
-	return nil
-}
+func ParseDesign(s string) (Design, error) { return cpu.ParseKind(s) }
 
 // RunOptions configures one simulated execution. The zero value of
 // every field selects the paper's Table 1 configuration.
@@ -386,16 +265,17 @@ func (o RunOptions) Normalize() RunOptions { return o.withDefaults() }
 // malformed or hostile spec cannot exhaust the daemon's memory.
 const maxServiceUnits = 1 << 16
 
-func checkNonNegative(kind string, fields map[string]int64) error {
-	// Sorted iteration keeps the first-reported error deterministic.
-	names := make([]string, 0, len(fields))
-	for name := range fields {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if v := fields[name]; v < 0 {
-			return fmt.Errorf("mac3d: %s.%s %d is negative", kind, name, v)
+// field is one named numeric option. Callers list fields by name, so
+// the first error reported for a spec is deterministic.
+type field struct {
+	name string
+	v    int64
+}
+
+func checkNonNegative(kind string, fields ...field) error {
+	for _, f := range fields {
+		if f.v < 0 {
+			return fmt.Errorf("mac3d: %s.%s %d is negative", kind, f.name, f.v)
 		}
 	}
 	return nil
@@ -422,49 +302,43 @@ func (o RunOptions) Validate() error {
 	if _, err := workloads.New(o.Workload); err != nil {
 		return fmt.Errorf("mac3d: %w", err)
 	}
-	if err := checkNonNegative("RunOptions", map[string]int64{
-		"Threads":                 int64(o.Threads),
-		"ARQEntries":              int64(o.ARQEntries),
-		"WindowBytes":             int64(o.WindowBytes),
-		"MaxTargetsPerEntry":      int64(o.MaxTargetsPerEntry),
-		"BuilderMinBytes":         int64(o.BuilderMinBytes),
-		"Cores":                   int64(o.Cores),
-		"MaxOutstanding":          int64(o.MaxOutstanding),
-		"HMCMaxInflight":          int64(o.HMCMaxInflight),
-		"HMCLinks":                int64(o.HMCLinks),
-		"TargetBufferDepth":       int64(o.TargetBufferDepth),
-		"Observe.SampleInterval":  int64(o.Observe.SampleInterval),
-		"Observe.MaxTraceEvents":  int64(o.Observe.MaxTraceEvents),
-		"Retry.MaxRetries":        int64(o.Retry.MaxRetries),
-		"Faults.RetryLimit":       int64(o.Faults.RetryLimit),
-		"Faults.RetryDelay":       o.Faults.RetryDelay,
-		"Faults.RetrainCycles":    o.Faults.RetrainCycles,
-		"Faults.DisableLinkAfter": int64(o.Faults.DisableLinkAfter),
-		"Faults.LinkTokens":       int64(o.Faults.LinkTokens),
-	}); err != nil {
+	if err := checkNonNegative("RunOptions",
+		field{"ARQEntries", int64(o.ARQEntries)},
+		field{"BuilderMinBytes", int64(o.BuilderMinBytes)},
+		field{"Cores", int64(o.Cores)},
+		field{"Faults.DisableLinkAfter", int64(o.Faults.DisableLinkAfter)},
+		field{"Faults.LinkTokens", int64(o.Faults.LinkTokens)},
+		field{"Faults.RetrainCycles", o.Faults.RetrainCycles},
+		field{"Faults.RetryDelay", o.Faults.RetryDelay},
+		field{"Faults.RetryLimit", int64(o.Faults.RetryLimit)},
+		field{"HMCLinks", int64(o.HMCLinks)},
+		field{"HMCMaxInflight", int64(o.HMCMaxInflight)},
+		field{"MaxOutstanding", int64(o.MaxOutstanding)},
+		field{"MaxTargetsPerEntry", int64(o.MaxTargetsPerEntry)},
+		field{"Observe.MaxTraceEvents", int64(o.Observe.MaxTraceEvents)},
+		field{"Observe.SampleInterval", int64(o.Observe.SampleInterval)},
+		field{"Retry.MaxRetries", int64(o.Retry.MaxRetries)},
+		field{"TargetBufferDepth", int64(o.TargetBufferDepth)},
+		field{"Threads", int64(o.Threads)},
+		field{"WindowBytes", int64(o.WindowBytes)},
+	); err != nil {
 		return err
 	}
 	// Bound the resource-shaped knobs so a single spec cannot demand
 	// absurd allocations (and so int -> uint32 lowering cannot wrap).
-	bounded := map[string]int{
-		"Threads":            o.Threads,
-		"Cores":              o.Cores,
-		"ARQEntries":         o.ARQEntries,
-		"WindowBytes":        o.WindowBytes,
-		"MaxTargetsPerEntry": o.MaxTargetsPerEntry,
-		"MaxOutstanding":     o.MaxOutstanding,
-		"HMCMaxInflight":     o.HMCMaxInflight,
-		"HMCLinks":           o.HMCLinks,
-		"TargetBufferDepth":  o.TargetBufferDepth,
-	}
-	names := make([]string, 0, len(bounded))
-	for name := range bounded {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if v := bounded[name]; v > maxServiceUnits {
-			return fmt.Errorf("mac3d: RunOptions.%s %d exceeds the %d bound", name, v, maxServiceUnits)
+	for _, f := range [...]field{
+		{"ARQEntries", int64(o.ARQEntries)},
+		{"Cores", int64(o.Cores)},
+		{"HMCLinks", int64(o.HMCLinks)},
+		{"HMCMaxInflight", int64(o.HMCMaxInflight)},
+		{"MaxOutstanding", int64(o.MaxOutstanding)},
+		{"MaxTargetsPerEntry", int64(o.MaxTargetsPerEntry)},
+		{"TargetBufferDepth", int64(o.TargetBufferDepth)},
+		{"Threads", int64(o.Threads)},
+		{"WindowBytes", int64(o.WindowBytes)},
+	} {
+		if f.v > maxServiceUnits {
+			return fmt.Errorf("mac3d: RunOptions.%s %d exceeds the %d bound", f.name, f.v, maxServiceUnits)
 		}
 	}
 	if err := checkRate("RunOptions", "Faults.CRCErrorRate", o.Faults.CRCErrorRate); err != nil {
@@ -485,23 +359,13 @@ func (o RunOptions) Validate() error {
 // runConfig lowers the options onto the internal configurations.
 func (o RunOptions) runConfig() (cpu.RunConfig, error) {
 	cfg := cpu.DefaultRunConfig()
-	kind, err := o.Design.kind()
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Kind = kind
+	cfg.Kind = o.Design
 	tuning, err := coalesce.ParseTuning(o.Frontend)
 	if err != nil {
 		return cfg, err
 	}
 	cfg.Warp = tuning.ApplyWarp(cfg.Warp)
 	cfg.MemCache = tuning.ApplyMemCache(cfg.MemCache)
-	if err := cfg.Warp.Validate(); err != nil {
-		return cfg, err
-	}
-	if err := cfg.MemCache.Validate(); err != nil {
-		return cfg, err
-	}
 	if o.ARQEntries != 0 {
 		cfg.MAC.ARQ.Entries = o.ARQEntries
 	}
@@ -577,30 +441,18 @@ func (o RunOptions) runConfig() (cpu.RunConfig, error) {
 		MaxRetries: o.Retry.MaxRetries,
 		Backoff:    sim.Cycle(o.Retry.BackoffCycles),
 	}
-	if err := cfg.Retry.Validate(); err != nil {
-		return cfg, err
-	}
 	// Surface configuration mistakes as errors at the façade; the
 	// internal constructors treat invalid config as programmer error
 	// and panic.
-	if err := cfg.MAC.Validate(); err != nil {
-		return cfg, err
-	}
-	if err := cfg.Node.Validate(); err != nil {
-		return cfg, err
-	}
-	if err := cfg.HMC.Validate(); err != nil {
-		return cfg, err
-	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }
 
 func (o RunOptions) workloadConfig() (workloads.Config, error) {
-	s, err := o.Scale.internal()
-	if err != nil {
+	// A scale without a name is not one of the three size classes.
+	if _, err := o.Scale.MarshalText(); err != nil {
 		return workloads.Config{}, err
 	}
-	return workloads.Config{Threads: o.Threads, Seed: o.Seed, Scale: s}, nil
+	return workloads.Config{Threads: o.Threads, Seed: o.Seed, Scale: o.Scale}, nil
 }
 
 // WorkloadInfo describes one registered benchmark kernel.
@@ -652,7 +504,7 @@ func runTrace(opts RunOptions, tr *trace.Trace) (*RunReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := newRunReport(opts, res)
+	rep := newRunReport(opts, rcfg, res)
 	rep.Observability = newObsReport(rcfg.Obs)
 	return &rep, nil
 }
@@ -686,8 +538,8 @@ func compareTrace(opts RunOptions, tr *trace.Trace) (*CompareReport, error) {
 	withoutOpts := opts
 	withoutOpts.Design = DesignRaw
 	return &CompareReport{
-		With:                  newRunReport(withOpts, cmp.With),
-		Without:               newRunReport(withoutOpts, cmp.Without),
+		With:                  newRunReport(withOpts, rcfg, cmp.With),
+		Without:               newRunReport(withoutOpts, rcfg, cmp.Without),
 		CoalescingEfficiency:  cmp.CoalescingEfficiency(),
 		MemorySpeedup:         cmp.MemorySpeedup(),
 		MakespanSpeedup:       cmp.MakespanSpeedup(),
@@ -695,10 +547,3 @@ func compareTrace(opts RunOptions, tr *trace.Trace) (*CompareReport, error) {
 		BandwidthSavingBytes:  cmp.BandwidthSaving(),
 	}, nil
 }
-
-// compile-time checks that internal defaults exist as documented.
-var (
-	_ = coalesce.DefaultMSHRConfig
-	_ = core.DefaultConfig
-	_ = hmc.DefaultConfig
-)

@@ -4,10 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"mac3d/internal/chaos"
-	"mac3d/internal/coalesce"
-	"mac3d/internal/hmc"
-	"mac3d/internal/memreq"
 	"mac3d/internal/noc"
 	"mac3d/internal/numa"
 	"mac3d/internal/sim"
@@ -146,26 +142,35 @@ func (o NUMAOptions) Normalize() NUMAOptions {
 	return o
 }
 
+// tile projects the options every node shares onto the single-node
+// RunOptions they mean there, so both paths validate and lower them
+// through one code path.
+func (o NUMAOptions) tile() RunOptions {
+	return RunOptions{
+		Workload: o.Workload,
+		Threads:  o.Threads,
+		Seed:     o.Seed,
+		Scale:    o.Scale,
+		Design:   o.Design,
+		Frontend: o.Frontend,
+		Cube:     o.Cube,
+		Chaos:    o.Chaos,
+		Retry:    o.Retry,
+	}
+}
+
 // Validate reports the first configuration error, or nil. RunNUMA
 // accepts exactly the options Validate accepts; like
 // RunOptions.Validate it never panics, whatever the field values.
 func (o NUMAOptions) Validate() error {
-	if o.Workload == "" {
-		return fmt.Errorf("mac3d: NUMAOptions.Workload is required")
-	}
-	if _, err := workloads.New(o.Workload); err != nil {
-		return fmt.Errorf("mac3d: %w", err)
-	}
-	if err := checkNonNegative("NUMAOptions", map[string]int64{
-		"Threads":          int64(o.Threads),
-		"Nodes":            int64(o.Nodes),
-		"CoresPerNode":     int64(o.CoresPerNode),
-		"Retry.MaxRetries": int64(o.Retry.MaxRetries),
-	}); err != nil {
+	if err := o.tile().Validate(); err != nil {
 		return err
 	}
-	if o.Threads > maxServiceUnits {
-		return fmt.Errorf("mac3d: NUMAOptions.Threads %d exceeds the %d bound", o.Threads, maxServiceUnits)
+	if err := checkNonNegative("NUMAOptions",
+		field{"CoresPerNode", int64(o.CoresPerNode)},
+		field{"Nodes", int64(o.Nodes)},
+	); err != nil {
+		return err
 	}
 	if o.Nodes > 256 {
 		return fmt.Errorf("mac3d: NUMAOptions.Nodes %d exceeds the 256 bound", o.Nodes)
@@ -179,18 +184,15 @@ func (o NUMAOptions) Validate() error {
 	if o.LinkLatencyNs > 1e9 {
 		return fmt.Errorf("mac3d: NUMAOptions.LinkLatencyNs %v exceeds the 1e9 bound", o.LinkLatencyNs)
 	}
-	if _, err := o.Scale.internal(); err != nil {
-		return err
-	}
 	n := o.Normalize()
 	if o.NoC != nil {
-		if err := checkNonNegative("NUMAOptions.NoC", map[string]int64{
-			"Nodes":         int64(o.NoC.Nodes),
-			"LinkBandwidth": int64(o.NoC.LinkBandwidth),
-			"BufferFlits":   int64(o.NoC.BufferFlits),
-			"InjectDepth":   int64(o.NoC.InjectDepth),
-			"MeshCols":      int64(o.NoC.MeshCols),
-		}); err != nil {
+		if err := checkNonNegative("NUMAOptions.NoC",
+			field{"BufferFlits", int64(o.NoC.BufferFlits)},
+			field{"InjectDepth", int64(o.NoC.InjectDepth)},
+			field{"LinkBandwidth", int64(o.NoC.LinkBandwidth)},
+			field{"MeshCols", int64(o.NoC.MeshCols)},
+			field{"Nodes", int64(o.NoC.Nodes)},
+		); err != nil {
 			return err
 		}
 		if o.NoC.Nodes != 0 && o.NoC.Nodes != n.Nodes {
@@ -212,30 +214,23 @@ func (o NUMAOptions) Validate() error {
 		return fmt.Errorf("mac3d: NUMAOptions places %d threads per node with %d cores (threads %d over %d nodes)",
 			perNode, n.CoresPerNode, n.Threads, n.Nodes)
 	}
-	if _, err := n.numaConfig(); err != nil {
-		return err
-	}
-	return nil
+	_, err := n.numaConfig()
+	return err
 }
 
 // numaConfig lowers normalized options onto the internal multi-node
-// configuration.
+// configuration: the shared fields become the tile every node runs,
+// the rest size the system and its interconnect.
 func (o NUMAOptions) numaConfig() (numa.Config, error) {
 	clock := sim.NewClock(0)
 	cfg := numa.DefaultConfig()
-	kind, err := o.Design.kind()
+	tile, err := o.tile().runConfig()
 	if err != nil {
 		return cfg, err
 	}
-	cfg.Kind = kind
-	tuning, err := coalesce.ParseTuning(o.Frontend)
-	if err != nil {
-		return cfg, fmt.Errorf("mac3d: %w", err)
-	}
-	cfg.Warp = tuning.ApplyWarp(cfg.Warp)
-	cfg.MemCache = tuning.ApplyMemCache(cfg.MemCache)
+	cfg.Tile = tile
+	cfg.Tile.Node.Cores = o.CoresPerNode
 	cfg.Nodes = o.Nodes
-	cfg.CoresPerNode = o.CoresPerNode
 	cfg.NoC.LinkLatency = clock.CyclesForNanos(o.LinkLatencyNs)
 	if o.InterleaveBytes != 0 {
 		cfg.InterleaveBytes = o.InterleaveBytes
@@ -251,30 +246,7 @@ func (o NUMAOptions) numaConfig() (numa.Config, error) {
 			MeshCols:      o.NoC.MeshCols,
 		}
 	}
-	cube, err := hmc.ParseCubeConfig(o.Cube)
-	if err != nil {
-		return cfg, fmt.Errorf("mac3d: %w", err)
-	}
-	cfg.HMC.Cube = cube
-	profile, err := chaos.ParseProfile(o.Chaos.Profile)
-	if err != nil {
-		return cfg, fmt.Errorf("mac3d: %w", err)
-	}
-	if o.Chaos.Seed != 0 {
-		profile.Seed = o.Chaos.Seed
-	}
-	cfg.Chaos = profile
-	if o.Retry.BackoffCycles < 0 {
-		return cfg, fmt.Errorf("mac3d: NUMAOptions.Retry.BackoffCycles %d is negative", o.Retry.BackoffCycles)
-	}
-	cfg.Retry = memreq.RetryPolicy{
-		MaxRetries: o.Retry.MaxRetries,
-		Backoff:    sim.Cycle(o.Retry.BackoffCycles),
-	}
-	if err := cfg.Validate(); err != nil {
-		return cfg, err
-	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }
 
 // NUMAReport summarizes a multi-node run.
@@ -356,13 +328,11 @@ func RunNUMA(opts NUMAOptions) (*NUMAReport, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	s, err := opts.Scale.internal()
+	wcfg, err := opts.tile().workloadConfig()
 	if err != nil {
 		return nil, err
 	}
-	tr, err := workloads.Generate(opts.Workload, workloads.Config{
-		Threads: opts.Threads, Seed: opts.Seed, Scale: s,
-	})
+	tr, err := workloads.Generate(opts.Workload, wcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -389,6 +359,7 @@ func RunNUMA(opts NUMAOptions) (*NUMAReport, error) {
 		AvgLatencyCycles: res.RequestLatency.Mean(),
 		AvgLatencyNs:     res.RequestLatency.Mean() / clock.FreqHz * 1e9,
 		RetriedRequests:  res.RetriedRequests,
+		Chaos:            newChaosReport(cfg.Tile.Chaos, res.Chaos),
 	}
 	if ns := res.NoC; ns != nil {
 		credit, chaosStalls := ns.StallCycles()
@@ -405,46 +376,8 @@ func RunNUMA(opts NUMAOptions) (*NUMAReport, error) {
 			ChaosStallCycles:    chaosStalls,
 		}
 	}
-	if c := res.Chaos; c != nil {
-		profile, _ := chaos.ParseProfile(opts.Chaos.Profile)
-		if opts.Chaos.Seed != 0 {
-			profile.Seed = opts.Chaos.Seed
-		}
-		rep.Chaos = &ChaosReport{
-			Profile:          profile.String(),
-			DelayStorms:      c.DelayStorms,
-			DelayedResponses: c.DelayedResponses,
-			ReorderedBatches: c.ReorderedBatches,
-			FencesInjected:   c.FencesInjected,
-			FreezeCycles:     c.FreezeCycles,
-			VaultStalls:      c.VaultStalls,
-			LinkStalls:       c.LinkStalls,
-			CubeLinkStalls:   c.CubeLinkStalls,
-		}
-	}
 	if opts.Cube != "" {
-		// The cube string parsed successfully before the run started.
-		cube, _ := hmc.ParseCubeConfig(opts.Cube)
-		cr := &CubeReport{
-			Config:     cube.String(),
-			Topology:   cube.Topology,
-			PagePolicy: cube.PagePolicy,
-		}
-		for _, ns := range res.PerNode {
-			cr.RowHits += ns.Device.RowHits
-			cr.RowMisses += ns.Device.RowMisses
-			cr.RowConflicts += ns.Device.RowConflicts
-			if ns.Cube != nil {
-				cr.FabricSent += ns.Cube.Sent
-				cr.FabricDelivered += ns.Cube.Delivered
-				credit, chaosStalls := ns.Cube.StallCycles()
-				cr.FabricStallCycles += credit + chaosStalls
-			}
-		}
-		if total := cr.RowHits + cr.RowMisses + cr.RowConflicts; total > 0 {
-			cr.RowHitRate = float64(cr.RowHits) / float64(total)
-		}
-		rep.Cube = cr
+		rep.Cube = newCubeReport(cfg.Tile.HMC.Cube, res.PerNode...)
 	}
 	for i, ns := range res.PerNode {
 		rep.PerNode = append(rep.PerNode, NUMANodeReport{

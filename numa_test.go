@@ -151,3 +151,64 @@ func TestRunNUMAChaosReport(t *testing.T) {
 		t.Fatalf("no chaos stall cycles on any link: %+v", rep.NoC)
 	}
 }
+
+// TestRunNUMACubeChaosReportPinned pins a 4-node ring run on routed,
+// open-page cubes under the cubelink stressor: the cycle count and the
+// cube and chaos blocks the report aggregates over every node.
+func TestRunNUMACubeChaosReportPinned(t *testing.T) {
+	rep, err := RunNUMA(NUMAOptions{
+		Workload: "sg", Nodes: 4, CoresPerNode: 2,
+		Cube:  "ring,page=open",
+		Chaos: ChaosOptions{Profile: "cubelink=0.01:40", Seed: 3},
+		NoC:   &NoCOptions{Topology: "ring"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Cycles != 8480 {
+		t.Errorf("cycles = %d, want 8480", rep.Cycles)
+	}
+	c := rep.Cube
+	if c == nil {
+		t.Fatal("report missing the cube block")
+	}
+	if c.Config != "ring,hop=2,bw=4,buf=64,inject=8,page=open" {
+		t.Errorf("cube config = %q", c.Config)
+	}
+	if c.RowHits != 4224 || c.RowMisses != 192 || c.RowConflicts != 0 {
+		t.Errorf("row hits/misses/conflicts = %d/%d/%d, want 4224/192/0",
+			c.RowHits, c.RowMisses, c.RowConflicts)
+	}
+	if c.FabricSent != 8832 || c.FabricDelivered != 8832 || c.FabricStallCycles != 604 {
+		t.Errorf("fabric sent/delivered/stalls = %d/%d/%d, want 8832/8832/604",
+			c.FabricSent, c.FabricDelivered, c.FabricStallCycles)
+	}
+	ch := rep.Chaos
+	if ch == nil {
+		t.Fatal("report missing the chaos block")
+	}
+	if ch.Profile != "cubelink=0.01:40,seed=3" || ch.CubeLinkStalls != 65 {
+		t.Errorf("chaos = %q with %d cube-link stalls, want cubelink=0.01:40,seed=3 with 65",
+			ch.Profile, ch.CubeLinkStalls)
+	}
+}
+
+// TestRunNUMAFrontendTuning runs a tuned warp frontend on every node:
+// the tuning must reach the nodes (the run differs from the untuned
+// one) and partial tuning must keep the other fields at their defaults.
+func TestRunNUMAFrontendTuning(t *testing.T) {
+	base, err := RunNUMA(NUMAOptions{Workload: "sg", Design: DesignWarp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuned, err := RunNUMA(NUMAOptions{Workload: "sg", Design: DesignWarp, Frontend: "warps=8"})
+	if err != nil {
+		t.Fatalf("tuned warp run: %v", err)
+	}
+	if tuned.Cycles == base.Cycles {
+		t.Errorf("tuned and untuned warp runs both took %d cycles", base.Cycles)
+	}
+	if _, err := RunNUMA(NUMAOptions{Workload: "sg", Design: DesignMemCache, Frontend: "split=0.25"}); err != nil {
+		t.Fatalf("tuned memcache run: %v", err)
+	}
+}

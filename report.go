@@ -6,6 +6,7 @@ import (
 	"mac3d/internal/chaos"
 	"mac3d/internal/cpu"
 	"mac3d/internal/hmc"
+	"mac3d/internal/numa"
 	"mac3d/internal/sim"
 )
 
@@ -253,7 +254,9 @@ type FaultReport struct {
 	TargetBufferRejects uint64 `json:"target_buffer_rejects"`
 }
 
-func newRunReport(opts RunOptions, res *cpu.Result) RunReport {
+// newRunReport renders one single-node run; cfg is the configuration
+// opts lowered to.
+func newRunReport(opts RunOptions, cfg cpu.RunConfig, res *cpu.Result) RunReport {
 	clock := sim.NewClock(0)
 	rep := RunReport{
 		Workload:             opts.Workload,
@@ -286,6 +289,7 @@ func newRunReport(opts RunOptions, res *cpu.Result) RunReport {
 		P99LatencyCycles:     res.RequestLatency.Quantile(0.99),
 		MaxLatencyCycles:     res.RequestLatency.Max(),
 		ARQOccupancy:         res.ARQOccupancy,
+		Chaos:                newChaosReport(cfg.Chaos, res.Chaos),
 		Faults: FaultReport{
 			CRCErrors:           res.Device.CRCErrors,
 			LinkRetries:         res.Device.LinkRetries,
@@ -340,46 +344,50 @@ func newRunReport(opts RunOptions, res *cpu.Result) RunReport {
 		}
 		rep.Audit = ar
 	}
-	if c := res.Chaos; c != nil {
-		// The profile parsed successfully before the run started, so
-		// re-parsing for the canonical rendering cannot fail here.
-		profile, _ := chaos.ParseProfile(opts.Chaos.Profile)
-		if opts.Chaos.Seed != 0 {
-			profile.Seed = opts.Chaos.Seed
-		}
-		rep.Chaos = &ChaosReport{
-			Profile:          profile.String(),
-			DelayStorms:      c.DelayStorms,
-			DelayedResponses: c.DelayedResponses,
-			ReorderedBatches: c.ReorderedBatches,
-			FencesInjected:   c.FencesInjected,
-			FreezeCycles:     c.FreezeCycles,
-			VaultStalls:      c.VaultStalls,
-			LinkStalls:       c.LinkStalls,
-			CubeLinkStalls:   c.CubeLinkStalls,
-		}
-	}
 	if opts.Cube != "" {
-		// The cube string parsed successfully before the run started.
-		cube, _ := hmc.ParseCubeConfig(opts.Cube)
-		cr := &CubeReport{
-			Config:       cube.String(),
-			Topology:     cube.Topology,
-			PagePolicy:   cube.PagePolicy,
-			RowHits:      res.Device.RowHits,
-			RowMisses:    res.Device.RowMisses,
-			RowConflicts: res.Device.RowConflicts,
-			RowHitRate:   res.Device.RowHitRate(),
-		}
-		if res.Cube != nil {
-			cr.FabricSent = res.Cube.Sent
-			cr.FabricDelivered = res.Cube.Delivered
-			credit, chaosStalls := res.Cube.StallCycles()
-			cr.FabricStallCycles = credit + chaosStalls
-		}
-		rep.Cube = cr
+		rep.Cube = newCubeReport(cfg.HMC.Cube, numa.NodeStats{Device: res.Device, Cube: res.Cube})
 	}
 	return rep
+}
+
+// newChaosReport renders a run's chaos counters under its lowered
+// profile; nil when chaos was off.
+func newChaosReport(p chaos.Profile, c *chaos.Stats) *ChaosReport {
+	if c == nil {
+		return nil
+	}
+	return &ChaosReport{
+		Profile:          p.String(),
+		DelayStorms:      c.DelayStorms,
+		DelayedResponses: c.DelayedResponses,
+		ReorderedBatches: c.ReorderedBatches,
+		FencesInjected:   c.FencesInjected,
+		FreezeCycles:     c.FreezeCycles,
+		VaultStalls:      c.VaultStalls,
+		LinkStalls:       c.LinkStalls,
+		CubeLinkStalls:   c.CubeLinkStalls,
+	}
+}
+
+// newCubeReport renders the cube block of a run under its lowered cube
+// config, summing the device and cube-fabric counters of every node.
+func newCubeReport(cube hmc.CubeConfig, nodes ...numa.NodeStats) *CubeReport {
+	cr := &CubeReport{Config: cube.String(), Topology: cube.Topology, PagePolicy: cube.PagePolicy}
+	for _, n := range nodes {
+		cr.RowHits += n.Device.RowHits
+		cr.RowMisses += n.Device.RowMisses
+		cr.RowConflicts += n.Device.RowConflicts
+		if n.Cube != nil {
+			cr.FabricSent += n.Cube.Sent
+			cr.FabricDelivered += n.Cube.Delivered
+			credit, chaosStalls := n.Cube.StallCycles()
+			cr.FabricStallCycles += credit + chaosStalls
+		}
+	}
+	if total := cr.RowHits + cr.RowMisses + cr.RowConflicts; total > 0 {
+		cr.RowHitRate = float64(cr.RowHits) / float64(total)
+	}
+	return cr
 }
 
 // String renders a compact one-line summary.
