@@ -8,6 +8,10 @@
 // a core either executes non-memory instructions (the trace's gap
 // counts), retires an SPM access locally, or issues a memory request
 // into the request router, stalling when its load/store queue is full.
+//
+// The same Node is one tile of the multi-node system in internal/numa:
+// built with NewTile, it runs the threads homed on it and hands
+// completed targets homed on other nodes to a RemotePort.
 package cpu
 
 import (
@@ -176,6 +180,10 @@ type Result struct {
 	ARQOccupancy float64
 	// RouterLocal/Global/Remote are the routing counts.
 	RouterLocal, RouterGlobal, RouterRemote uint64
+	// RemoteRequests counts the fresh memory requests this node's
+	// threads sent to another node's memory (re-issues excluded); 0 on
+	// a single node.
+	RemoteRequests uint64
 }
 
 // IPC returns retired instructions per cycle across the node.
@@ -212,6 +220,13 @@ func (r *Result) RPC() float64 {
 	return float64(r.MemRequests) / float64(r.Cycles)
 }
 
+// RemotePort carries a completed target back to the node its thread
+// is homed on: the response router's remote-return path (§3.3). The
+// multi-node system implements it over its interconnect.
+type RemotePort interface {
+	ReturnRemote(from, home int, tgt memreq.Target, kind hmc.Kind, poisoned bool, now sim.Cycle)
+}
+
 // Node wires threads, router, coalescer and device together.
 type Node struct {
 	cfg    Config
@@ -220,11 +235,25 @@ type Node struct {
 	// mac is coal when the run uses the MAC, else nil — for
 	// occupancy sampling on cycles where the coalescer is not ticked.
 	mac *core.MAC
+	// rec is coal's recycling hook when it offers one: fully consumed
+	// Builts hand their target slabs back, keeping the pop path
+	// allocation-free.
+	rec memreq.Recycler
 	dev *hmc.Device
 
+	// id and nodes are the node's place in a NUMA system (0 and 1 on
+	// a single node); port returns targets homed on other nodes.
+	id, nodes int
+	port      RemotePort
+
+	// threads holds the threads homed on this node: thread t at index
+	// t/nodes.
 	threads []*threadState
-	// issueRR rotates issue priority across cores for fairness.
-	issueRR int
+	// rotateIssue rotates issue priority across cores for fairness,
+	// starting each cycle at core issueRR; a tile's cores issue in
+	// thread order.
+	rotateIssue bool
+	issueRR     int
 
 	// resp owns the target buffer mapping device tags to built
 	// transactions and classifies every delivery.
@@ -264,6 +293,7 @@ type Node struct {
 
 	spmAccesses      uint64
 	memRequests      uint64
+	remoteRequests   uint64
 	failedRequests   uint64
 	retriedRequests  uint64
 	retireUnderflows uint64
@@ -289,8 +319,21 @@ type retryPend struct {
 
 // NewNode builds a node around a coalescer and device, returning a
 // wrapped configuration error. The coalescer and device must be
-// freshly constructed or Reset.
+// freshly constructed or Reset. Its cores take turns issuing first.
 func NewNode(cfg Config, coal memreq.Coalescer, dev *hmc.Device) (*Node, error) {
+	return newNode(cfg, coal, dev, nil, true)
+}
+
+// NewTile builds node cfg.Router.NodeID of a cfg.Router.Nodes-node
+// system, which drives it through Issue and Serve and lands the
+// targets port carries home through Retire. Its cores issue in thread
+// order every cycle, the order the multi-node goldens were captured
+// with.
+func NewTile(cfg Config, coal memreq.Coalescer, dev *hmc.Device, port RemotePort) (*Node, error) {
+	return newNode(cfg, coal, dev, port, false)
+}
+
+func newNode(cfg Config, coal memreq.Coalescer, dev *hmc.Device, port RemotePort, rotateIssue bool) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("cpu: invalid node config: %w", err)
 	}
@@ -299,25 +342,21 @@ func NewNode(cfg Config, coal memreq.Coalescer, dev *hmc.Device) (*Node, error) 
 		return nil, fmt.Errorf("cpu: %w", err)
 	}
 	mac, _ := coal.(*core.MAC)
+	rec, _ := coal.(memreq.Recycler)
 	return &Node{
-		cfg:      cfg,
-		router:   router,
-		coal:     coal,
-		mac:      mac,
-		dev:      dev,
-		resp:     core.NewResponseRouter(cfg.TargetBufferDepth),
-		watchdog: sim.NewWatchdog(cfg.StallLimit),
+		cfg:         cfg,
+		router:      router,
+		coal:        coal,
+		mac:         mac,
+		rec:         rec,
+		dev:         dev,
+		id:          cfg.Router.NodeID,
+		nodes:       cfg.Router.Nodes,
+		port:        port,
+		rotateIssue: rotateIssue,
+		resp:        core.NewResponseRouter(cfg.TargetBufferDepth),
+		watchdog:    sim.NewWatchdog(cfg.StallLimit),
 	}, nil
-}
-
-// MustNewNode is NewNode panicking on error, for tests and static
-// fixtures.
-func MustNewNode(cfg Config, coal memreq.Coalescer, dev *hmc.Device) *Node {
-	n, err := NewNode(cfg, coal, dev)
-	if err != nil {
-		panic(err)
-	}
-	return n
 }
 
 // EnableAudit attaches a fresh request-lifecycle ledger. Call before
@@ -372,12 +411,13 @@ func (n *Node) AttachObs(o *obs.Obs) {
 	rec.Watch("node.router.pending", func() float64 { return float64(n.router.Pending()) })
 }
 
-// Load installs the trace to replay. Threads beyond the core count are
+// Load installs the trace to replay: the threads homed on this node,
+// thread t on node t % Nodes. Threads beyond the core count are
 // rejected: the architecture runs one thread per core (§3).
 func (n *Node) Load(tr *trace.Trace) error {
 	active := 0
-	for _, th := range tr.Threads {
-		if len(th) > 0 {
+	for t := n.id; t < len(tr.Threads); t += n.nodes {
+		if len(tr.Threads[t]) > 0 {
 			active++
 		}
 	}
@@ -385,7 +425,9 @@ func (n *Node) Load(tr *trace.Trace) error {
 		return fmt.Errorf("cpu: trace has %d active threads for %d cores", active, n.cfg.Cores)
 	}
 	n.threads = n.threads[:0]
-	for _, th := range tr.Threads {
+	n.issueRR = 0
+	for t := n.id; t < len(tr.Threads); t += n.nodes {
+		th := tr.Threads[t]
 		ts := &threadState{events: th, issuedAt: make(map[uint16]sim.Cycle)}
 		if len(th) > 0 {
 			ts.gapLeft = uint32(th[0].Gap)
@@ -401,21 +443,42 @@ func (n *Node) Load(tr *trace.Trace) error {
 func (n *Node) Run() (*Result, error) {
 	for now := sim.Cycle(0); now < n.cfg.MaxCycles; now++ {
 		n.tickChaos(now)
-		n.pumpRetries(now)
-		n.tickCores(now)
-		n.drainRouter(now)
-		n.tickCoalescer(now)
-		n.deliverResponses(now)
+		n.Issue(now)
+		n.Serve(now)
 		n.obs.Rec().Sample(uint64(now))
-		if n.drained() {
-			return n.result(now + 1), nil
+		if n.Drained() {
+			return n.Result(now + 1), nil
 		}
 		if n.watchdog.Check(now, n.progress) {
-			return nil, n.stallError(now)
+			return nil, n.Stall(now)
 		}
 	}
 	return nil, fmt.Errorf("cpu: run exceeded MaxCycles=%d (deadlock?)", n.cfg.MaxCycles)
 }
+
+// Issue is the first half of a node cycle: poisoned requests whose
+// backoff expired re-enter the router, then every core gets its turn.
+func (n *Node) Issue(now sim.Cycle) {
+	n.pumpRetries(now)
+	n.tickCores(now)
+}
+
+// Serve is the second half of a node cycle: the router feeds the
+// coalescer one raw request (§4.1), built transactions go to the
+// device, and completed responses are routed back to their threads.
+func (n *Node) Serve(now sim.Cycle) {
+	n.router.DrainToMAC(n.coal, now)
+	n.tickCoalescer(now)
+	n.deliverResponses(now)
+}
+
+// Router returns the node's request router, whose Global and Remote
+// queues the multi-node system's interconnect drains and fills.
+func (n *Node) Router() *core.Router { return n.router }
+
+// Progress counts the node's forward-progress events (retirements,
+// submissions, deliveries) for a watchdog.
+func (n *Node) Progress() uint64 { return n.progress }
 
 // tickChaos rolls the chaos engine for this cycle and applies the
 // stressors that act on the request/device side: transient vault
@@ -460,14 +523,19 @@ func (n *Node) pumpRetries(now sim.Cycle) {
 	n.retryPend = keep
 }
 
-// tickCores advances every thread by one cycle.
+// tickCores advances every thread by one cycle, starting at core
+// issueRR.
 func (n *Node) tickCores(now sim.Cycle) {
-	for i := range n.threads {
-		t := n.threads[(i+n.issueRR)%len(n.threads)]
+	for _, t := range n.threads[n.issueRR:] {
 		n.tickThread(t, now)
 	}
-	if len(n.threads) > 0 {
-		n.issueRR = (n.issueRR + 1) % len(n.threads)
+	for _, t := range n.threads[:n.issueRR] {
+		n.tickThread(t, now)
+	}
+	if n.rotateIssue && len(n.threads) > 0 {
+		if n.issueRR++; n.issueRR == len(n.threads) {
+			n.issueRR = 0
+		}
 	}
 }
 
@@ -543,6 +611,9 @@ func (n *Node) tickThread(t *threadState, now sim.Cycle) {
 	t.retired++
 	n.progress++
 	n.memRequests++
+	if n.nodes > 1 && n.router.Dest(req.Addr) != n.id {
+		n.remoteRequests++
+	}
 	n.audit.Issue(req, now)
 	if n.retry.Enabled() {
 		n.inflightReq[reqKey{req.Thread, req.Tag}] = &reqAttempt{req: req}
@@ -556,11 +627,6 @@ func (n *Node) advance(t *threadState) {
 	if t.pc < len(t.events) {
 		t.gapLeft = uint32(t.events[t.pc].Gap)
 	}
-}
-
-// drainRouter feeds the coalescer (one raw request per cycle, §4.1).
-func (n *Node) drainRouter(now sim.Cycle) {
-	n.router.DrainToMAC(n.coal, now)
 }
 
 // tickCoalescer advances the coalescer and submits built transactions.
@@ -644,11 +710,12 @@ func (n *Node) submitDeferred(now sim.Cycle) {
 }
 
 // deliverResponses routes completed device responses back to threads —
-// the response router of §3.3. Malformed deliveries (duplicates,
-// unknown tags, targets naming absent threads, retire underflows) are
-// counted and survived rather than panicking: under fault injection
-// they are expected events, and a simulator that dies on them cannot
-// report what went wrong.
+// the response router of §3.3. A target homed on another node goes to
+// the remote port; every other target lands through Retire. Malformed
+// deliveries (duplicates, unknown tags, targets naming absent threads,
+// retire underflows) are counted and survived rather than panicking:
+// under fault injection they are expected events, and a simulator that
+// dies on them cannot report what went wrong.
 func (n *Node) deliverResponses(now sim.Cycle) {
 	for _, resp := range n.chaos.Filter(now, n.dev.Tick(now)) {
 		b, status := n.resp.Deliver(resp)
@@ -666,51 +733,16 @@ func (n *Node) deliverResponses(now sim.Cycle) {
 		n.obs.Trace().Transaction(resp.Tag, b.Span)
 		poisoned := status == core.RespPoisoned
 		for _, tgt := range b.Targets {
-			if tgt.Cont {
-				// Continuation half of a window-split request: its
-				// data is delivered, but the head half owns the
-				// request's one LSQ slot and latency observation. A
-				// poisoned continuation is degraded data loss — the
-				// head's transaction is independently live, so the
-				// request cannot be re-issued without risking a
-				// double delivery; the ledger waives its bytes.
-				if poisoned {
-					n.audit.Forgive(tgt, now)
-				} else {
-					n.audit.Credit(tgt, b.Req.Addr, b.Req.Data, now)
+			if n.nodes > 1 {
+				if home := int(tgt.Thread) % n.nodes; home != n.id {
+					n.port.ReturnRemote(n.id, home, tgt, b.Req.Kind, poisoned, now)
+					continue
 				}
-				continue
 			}
-			if int(tgt.Thread) >= len(n.threads) {
-				n.misrouted++
-				continue
-			}
-			if poisoned && n.scheduleRetry(tgt, now) {
-				// The LSQ slot stays occupied and issuedAt keeps the
-				// original issue cycle: the request's latency spans
-				// its retries, and fences keep waiting for it.
-				continue
-			}
-			t := n.threads[tgt.Thread]
-			if t.outstanding <= 0 {
-				n.retireUnderflows++
-				continue
-			}
-			t.outstanding--
-			if poisoned {
-				n.failedRequests++
-				n.audit.Fail(tgt, now)
-			} else {
+			if !poisoned {
 				n.audit.Credit(tgt, b.Req.Addr, b.Req.Data, now)
-				n.audit.Retire(tgt, now)
 			}
-			if n.retry.Enabled() {
-				delete(n.inflightReq, reqKey{tgt.Thread, tgt.Tag})
-			}
-			if issue, ok := t.issuedAt[tgt.Tag]; ok {
-				t.latency.Observe(uint64(now - issue))
-				delete(t.issuedAt, tgt.Tag)
-			}
+			n.Retire(tgt, poisoned, now)
 		}
 		if n.dupDeliver && !poisoned {
 			// Test-only injected bug: replay the audit-visible
@@ -723,6 +755,67 @@ func (n *Node) deliverResponses(now sim.Cycle) {
 				n.audit.Retire(tgt, now)
 			}
 		}
+		// Every target has been consumed (retired or handed to the
+		// port) and the span recorded: hand the transaction's slab back
+		// to the coalescer.
+		if n.rec != nil {
+			n.rec.Recycle(b)
+		}
+	}
+}
+
+// Retire lands one completed target at its thread on this node: the
+// request's LSQ slot frees and its latency is observed, or, when the
+// transaction was poisoned, it fails or is re-issued under the retry
+// policy. Local deliveries and targets that return from other nodes
+// both land here; the ledger's byte credit happens where the
+// transaction was delivered.
+func (n *Node) Retire(tgt memreq.Target, poisoned bool, now sim.Cycle) {
+	if tgt.Cont {
+		// Continuation half of a window-split request: its data is
+		// delivered, but the head half owns the request's one LSQ slot
+		// and latency observation. A poisoned continuation is degraded
+		// data loss — the head's transaction is independently live, so
+		// the request cannot be re-issued without risking a double
+		// delivery; the ledger waives its bytes.
+		if poisoned {
+			n.audit.Forgive(tgt, now)
+		}
+		return
+	}
+	i := int(tgt.Thread)
+	if n.nodes > 1 {
+		i /= n.nodes
+	}
+	if i >= len(n.threads) {
+		n.misrouted++
+		return
+	}
+	if poisoned && n.scheduleRetry(tgt, now) {
+		// The LSQ slot stays occupied and issuedAt keeps the original
+		// issue cycle: the request's latency spans its retries, and
+		// fences keep waiting for it.
+		return
+	}
+	t := n.threads[i]
+	if t.outstanding <= 0 {
+		n.retireUnderflows++
+		return
+	}
+	t.outstanding--
+	n.progress++
+	if poisoned {
+		n.failedRequests++
+		n.audit.Fail(tgt, now)
+	} else {
+		n.audit.Retire(tgt, now)
+	}
+	if n.retry.Enabled() {
+		delete(n.inflightReq, reqKey{tgt.Thread, tgt.Tag})
+	}
+	if issue, ok := t.issuedAt[tgt.Tag]; ok {
+		t.latency.Observe(uint64(now - issue))
+		delete(t.issuedAt, tgt.Tag)
 	}
 }
 
@@ -743,8 +836,8 @@ func (n *Node) scheduleRetry(tgt memreq.Target, now sim.Cycle) bool {
 	return true
 }
 
-// drained reports whether all work has retired.
-func (n *Node) drained() bool {
+// Drained reports whether all of the node's work has retired.
+func (n *Node) Drained() bool {
 	if n.router.Pending() > 0 || n.coal.Pending() > 0 || n.coal.Inflight() > 0 ||
 		n.dev.Pending() > 0 || len(n.deferred) > 0 ||
 		n.chaos.HeldResponses() > 0 || len(n.retryPend) > 0 {
@@ -758,10 +851,12 @@ func (n *Node) drained() bool {
 	return true
 }
 
-func (n *Node) result(cycles sim.Cycle) *Result {
+// Result summarizes the node's run as of cycles.
+func (n *Node) Result(cycles sim.Cycle) *Result {
 	r := &Result{
 		Cycles:           cycles,
 		MemRequests:      n.memRequests,
+		RemoteRequests:   n.remoteRequests,
 		SPMAccesses:      n.spmAccesses,
 		Coalescer:        *n.coal.Stats(),
 		Device:           *n.dev.Stats(),
@@ -810,7 +905,9 @@ type StallError struct {
 	// buffer is empty.
 	OldestTxTag uint64
 	OldestTxAge sim.Cycle
-	// OldestTxAddr is that transaction's physical address.
+	// OldestTxKind and OldestTxAddr are that transaction's kind and
+	// physical address.
+	OldestTxKind hmc.Kind
 	OldestTxAddr uint64
 	// OutstandingTx and DeferredTx are target-buffer occupancy and
 	// the holding-slot depth.
@@ -841,8 +938,8 @@ func (e *StallError) Error() string {
 		e.StallLimit, e.Cycle, e.Dump)
 }
 
-// stallError snapshots the node state into a *StallError.
-func (n *Node) stallError(now sim.Cycle) error {
+// Stall snapshots the node's state at cycle now into a *StallError.
+func (n *Node) Stall(now sim.Cycle) *StallError {
 	e := &StallError{
 		Cycle:             now,
 		StallLimit:        n.cfg.StallLimit,
@@ -870,6 +967,7 @@ func (n *Node) stallError(now sim.Cycle) error {
 	if tag, registered, b, ok := n.resp.Oldest(); ok {
 		e.OldestTxTag = tag
 		e.OldestTxAge = now - registered
+		e.OldestTxKind = b.Req.Kind
 		e.OldestTxAddr = b.Req.Addr
 		kvs = append(kvs,
 			stats.KV{Key: "oldest in-flight tag", Value: tag},

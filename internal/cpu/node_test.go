@@ -4,6 +4,9 @@ import (
 	"testing"
 
 	"mac3d/internal/addr"
+	"mac3d/internal/core"
+	"mac3d/internal/hmc"
+	"mac3d/internal/memreq"
 	"mac3d/internal/trace"
 )
 
@@ -289,5 +292,52 @@ func TestResultDerivedMetrics(t *testing.T) {
 func TestKindStrings(t *testing.T) {
 	if WithMAC.String() != "mac" || WithoutMAC.String() != "raw" || WithMSHR.String() != "mshr" {
 		t.Fatal("kind strings wrong")
+	}
+}
+
+// recycleCounter is the MAC counting the Builts handed back to it.
+type recycleCounter struct {
+	*core.MAC
+	recycled uint64
+}
+
+func (c *recycleCounter) Recycle(b *memreq.Built) {
+	c.recycled++
+	c.MAC.Recycle(b)
+}
+
+// TestNodeRecyclesDeliveredTransactions: every transaction the node
+// completes, poisoned ones included, hands its target slab back to the
+// coalescer exactly once.
+func TestNodeRecyclesDeliveredTransactions(t *testing.T) {
+	cfg := DefaultRunConfig()
+	cfg.HMC.Faults.CRCErrorRate = 0.3
+	cfg.HMC.Faults.RetryLimit = 1
+	cfg.HMC.Faults.Seed = 5
+	dev, err := hmc.NewDevice(cfg.HMC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mac, err := core.New(cfg.MAC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coal := &recycleCounter{MAC: mac}
+	n, err := NewNode(cfg.Node, coal, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Load(seqTrace(4, 64)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := n.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Responses.Poisoned == 0 {
+		t.Fatal("no poisoned transactions: the fault rate exercises nothing")
+	}
+	if want := res.Responses.Delivered + res.Responses.Poisoned; coal.recycled != want {
+		t.Fatalf("recycled %d transactions, want delivered+poisoned = %d", coal.recycled, want)
 	}
 }

@@ -3,10 +3,10 @@
 // processor with its own 3D-stacked memory device through a MAC unit,
 // and remote devices are reached through the owning node's MAC.
 //
-// The single-node model in internal/cpu covers the paper's evaluated
-// configuration; this package exercises the request router's Global
-// and Remote access queues (§3.1) and the response router's
-// remote-return path (§3.3) with a configurable node count.
+// Every node is a cpu.Node tile, the same driver as the single-node
+// model of the paper's evaluated configuration; this package adds the
+// interconnect behind the request router's Global and Remote access
+// queues (§3.1) and the response router's remote-return path (§3.3).
 //
 // Global/Remote traffic rides an internal/noc fabric: the default
 // `ideal` topology reproduces the original point-to-point wire
@@ -46,16 +46,15 @@ type Config struct {
 	// 0 to inherit Nodes; a non-zero value must agree with it.
 	NoC noc.Config
 	// Tile is the single-node configuration every node replicates:
-	// Tile.Node.Cores cores per node, the Kind frontend with its
-	// MAC/MSHR/Null/Warp/MemCache settings, the HMC device, the
-	// request-router queue depths and the run limits. Tile.Retry
-	// re-issues poisoned completions at the originating node's
-	// router. Of Tile.Chaos only the link stressor (transient NoC link
-	// stalls, on a routed topology) and the cubelink stressor (on a
-	// routed cube) act; the node-internal stressors belong to the
-	// single-node driver and are inert here. Run attaches Tile.Obs.
-	// Tile.Audit and a bounded Tile.Node.TargetBufferDepth are
-	// single-node features Validate rejects.
+	// each node is a cpu.Node tile with Tile.Node.Cores cores, the Kind
+	// frontend with its MAC/MSHR/Null/Warp/MemCache settings, the HMC
+	// device, the request-router queue depths, the target buffer and
+	// the run limits. Tile.Retry re-issues poisoned completions at the
+	// originating node's router. Of Tile.Chaos only the link stressor
+	// (transient NoC link stalls, on a routed topology) and the
+	// cubelink stressor (on a routed cube) act; the node-internal
+	// stressors are inert here. Run attaches Tile.Obs. Tile.Audit is a
+	// single-node feature Validate rejects.
 	Tile cpu.RunConfig
 }
 
@@ -81,9 +80,6 @@ func (c Config) Validate() error {
 			c.NoC.Nodes, c.Nodes)
 	case c.Tile.Audit:
 		return fmt.Errorf("numa: Tile.Audit is a single-node feature")
-	case c.Tile.Node.TargetBufferDepth != 0:
-		return fmt.Errorf("numa: Tile.Node.TargetBufferDepth is a single-node feature, got %d",
-			c.Tile.Node.TargetBufferDepth)
 	}
 	if err := c.nocConfig().Validate(); err != nil {
 		return err
@@ -130,58 +126,18 @@ func respFlits(k hmc.Kind) int {
 	return 2
 }
 
-// threadState mirrors the per-thread replay of internal/cpu.
-type threadState struct {
-	events      []trace.Event
-	pc          int
-	gapLeft     uint32
-	outstanding int
-	nextTag     uint16
-	spmBusy     sim.Cycle
-	retired     uint64
-	issuedAt    map[uint16]sim.Cycle
-	latency     stats.Histogram
-}
-
-func (t *threadState) done() bool {
-	return t.pc >= len(t.events) && t.outstanding == 0 && t.gapLeft == 0
-}
-
-// node is one processor+MAC+HMC tile.
+// node is one tile of the system: a cpu.Node running the threads homed
+// on it, plus the interconnect state the system keeps for it.
 type node struct {
+	*cpu.Node
 	id     int
 	router *core.Router
-	coal   memreq.Coalescer
-	// mac is coal when it is the MAC — for occupancy sampling on
-	// backpressured cycles where the coalescer is not ticked.
-	mac *core.MAC
-	// rec is coal's recycling hook when it offers one: fully consumed
-	// Builts hand their target slabs back, keeping the pop path
-	// allocation-free.
-	rec     memreq.Recycler
-	dev     *hmc.Device
-	threads []*threadState // threads homed on this node
-
-	// resp owns the target buffer mapping device tags to built
-	// transactions and classifies every delivery (duplicate, unknown
-	// and poisoned responses are counted, never panicked on).
-	resp *core.ResponseRouter
-
-	// sentThisCycle throttles outbound interconnect messages.
-	sentThisCycle int
+	dev    *hmc.Device
 	// respOut parks response messages the fabric refused (routed
 	// topologies backpressure injection); drained before requests.
 	respOut []noc.Message[payload]
-
-	remoteServed uint64 // requests served for other nodes
-	remoteSent   uint64 // requests sent to other nodes
-
-	// inflightReq remembers the raw request behind each in-flight
-	// (thread, tag) homed on this node, so a poisoned completion can
-	// be re-issued; populated only while Tile.Retry is on.
-	inflightReq map[reqKey]*reqAttempt
-	// retryPend holds this node's re-issues waiting out their backoff.
-	retryPend []retryPend
+	// remoteServed counts targets served for threads homed elsewhere.
+	remoteServed uint64
 }
 
 // Result aggregates system-wide measurements.
@@ -208,20 +164,16 @@ type Result struct {
 	// Chaos carries the injected-adversity counters; nil when the
 	// chaos profile is disabled.
 	Chaos *chaos.Stats
-	// PerNode carries each node's coalescer and device snapshots.
+	// PerNode carries each node's measurements.
 	PerNode []NodeStats
 }
 
-// NodeStats is one node's measurement snapshot.
+// NodeStats is one node's measurements: its tile's result, whose
+// RemoteRequests are the requests it sent to other nodes, plus the
+// targets it served for them.
 type NodeStats struct {
-	Coalescer    memreq.Stats
-	Device       hmc.Stats
-	Responses    core.ResponseRouterStats
+	cpu.Result
 	RemoteServed uint64
-	RemoteSent   uint64
-	// Cube is the device's intra-cube fabric snapshot; nil for the
-	// ideal cube topology.
-	Cube *noc.Stats
 }
 
 // RemoteFraction returns the share of memory requests that targeted a
@@ -233,7 +185,8 @@ func (r *Result) RemoteFraction() float64 {
 	return float64(r.RemoteRequests) / float64(r.MemRequests)
 }
 
-// System is the multi-node simulator.
+// System is the multi-node simulator: Nodes cpu.Node tiles joined by
+// the interconnect.
 type System struct {
 	cfg   Config
 	nodes []*node
@@ -256,34 +209,9 @@ type System struct {
 	// obs is the run's observability handle; nil when disabled.
 	obs      *obs.Obs
 	watchdog *sim.Watchdog
-	// progress counts forward-progress events for the watchdog.
+	// progress counts the interconnect's forward-progress events; the
+	// watchdog adds every tile's own.
 	progress uint64
-	// System-wide Result counters.
-	memRequests      uint64
-	spmAccesses      uint64
-	remoteReqs       uint64
-	failedRequests   uint64
-	retriedRequests  uint64
-	retireUnderflows uint64
-	misrouted        uint64
-}
-
-// reqKey identifies one in-flight raw request system-wide (thread ids
-// are global).
-type reqKey struct {
-	thread, tag uint16
-}
-
-// reqAttempt tracks the retry budget spent on one raw request.
-type reqAttempt struct {
-	req      memreq.RawRequest
-	attempts int
-}
-
-// retryPend is one poisoned request waiting out its re-issue backoff.
-type retryPend struct {
-	due sim.Cycle
-	req memreq.RawRequest
 }
 
 // NewSystem builds the system; each node gets its own MAC and device.
@@ -305,7 +233,7 @@ func NewSystem(cfg Config) (*System, error) {
 	s.fab = fab
 	s.land = func(m noc.Message[payload]) bool {
 		if m.Payload.isResponse {
-			s.retire(m.Payload.target, s.landAt, m.Payload.poisoned)
+			s.nodes[m.Dst].Retire(m.Payload.target, m.Payload.poisoned, s.landAt)
 			return true
 		}
 		return s.nodes[m.Dst].router.OfferRemote(m.Payload.req)
@@ -324,10 +252,10 @@ func NewSystem(cfg Config) (*System, error) {
 	s.chaos = eng
 	s.chaos.SetLinks(s.fab.Links())
 	for i := 0; i < cfg.Nodes; i++ {
-		rcfg := cfg.Tile.Node.Router
-		rcfg.NodeID = i
-		rcfg.Nodes = cfg.Nodes
-		rcfg.InterleaveBytes = cfg.InterleaveBytes
+		tcfg := cfg.Tile.Node
+		tcfg.Router.NodeID = i
+		tcfg.Router.Nodes = cfg.Nodes
+		tcfg.Router.InterleaveBytes = cfg.InterleaveBytes
 		dev, err := hmc.NewDevice(cfg.Tile.HMC)
 		if err != nil {
 			return nil, err
@@ -336,27 +264,12 @@ func NewSystem(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, fmt.Errorf("numa: node %d: %w", i, err)
 		}
-		router, err := core.NewRouter(rcfg)
+		tile, err := cpu.NewTile(tcfg, coal, dev, s)
 		if err != nil {
 			return nil, fmt.Errorf("numa: node %d: %w", i, err)
 		}
-		nd := &node{
-			id:     i,
-			router: router,
-			coal:   coal,
-			dev:    dev,
-			resp:   core.NewResponseRouter(0),
-		}
-		if mac, ok := coal.(*core.MAC); ok {
-			nd.mac = mac
-		}
-		if rec, ok := nd.coal.(memreq.Recycler); ok {
-			nd.rec = rec
-		}
-		if cfg.Tile.Retry.Enabled() {
-			nd.inflightReq = make(map[reqKey]*reqAttempt)
-		}
-		s.nodes = append(s.nodes, nd)
+		tile.SetRetry(cfg.Tile.Retry)
+		s.nodes = append(s.nodes, &node{Node: tile, id: i, router: tile.Router(), dev: dev})
 	}
 	// Declare intra-cube links across all devices to the cubelink
 	// stressor (gated off for the ideal cube, which reports 0).
@@ -365,82 +278,52 @@ func NewSystem(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// AttachObs wires every node's coalescer and device into a run's
-// observability layer, each under a "nodeN." name prefix so the shared
-// registry and recorder keep per-node series apart, plus system-wide
-// interconnect probes. Call once before Run; nil is a no-op.
+// AttachObs wires every tile into a run's observability layer, each
+// under a "nodeN." name prefix so the shared registry and recorder keep
+// per-node series apart, plus system-wide interconnect probes. Call
+// once before Run; nil is a no-op.
 func (s *System) AttachObs(o *obs.Obs) {
 	s.obs = o
 	if !o.Enabled() {
 		return
 	}
 	for _, nd := range s.nodes {
-		po := o.WithPrefix(fmt.Sprintf("node%d.", nd.id))
-		if a, ok := nd.coal.(obs.Attacher); ok {
-			a.AttachObs(po)
-		}
-		nd.dev.AttachObs(po)
+		nd.AttachObs(o.WithPrefix(fmt.Sprintf("node%d.", nd.id)))
 	}
-	o.Reg().Func("numa.remote_requests", func() float64 { return float64(s.remoteReqs) })
+	o.Reg().Func("numa.remote_requests", func() float64 {
+		var n uint64
+		for _, nd := range s.nodes {
+			n += nd.Result(0).RemoteRequests
+		}
+		return float64(n)
+	})
 	o.Rec().Watch("numa.net.inflight", func() float64 { return float64(s.fab.InFlight()) })
 	s.fab.AttachObs(o)
 }
 
-// Load distributes a trace's threads across nodes: thread t is homed
-// on node t % Nodes, so every node runs at most Tile.Node.Cores
-// threads.
+// Load homes thread t of a trace on node t % Nodes; a node given more
+// active threads than Tile.Node.Cores is an error.
 func (s *System) Load(tr *trace.Trace) error {
-	counts := make([]int, s.cfg.Nodes)
-	for th, events := range tr.Threads {
-		if len(events) > 0 {
-			counts[th%s.cfg.Nodes]++
-		}
-	}
-	for n, c := range counts {
-		if c > s.cfg.Tile.Node.Cores {
-			return fmt.Errorf("numa: node %d would run %d threads with %d cores",
-				n, c, s.cfg.Tile.Node.Cores)
-		}
-	}
 	for _, nd := range s.nodes {
-		nd.threads = nd.threads[:0]
-	}
-	for th, events := range tr.Threads {
-		nd := s.nodes[th%s.cfg.Nodes]
-		ts := &threadState{events: events, issuedAt: make(map[uint16]sim.Cycle)}
-		if len(events) > 0 {
-			ts.gapLeft = uint32(events[0].Gap)
-		}
-		nd.threads = append(nd.threads, ts)
-	}
-	return nil
-}
-
-// thread locates a thread's state by its global id.
-func (s *System) thread(id uint16) *threadState {
-	nd := s.nodes[int(id)%s.cfg.Nodes]
-	for _, ts := range nd.threads {
-		if len(ts.events) > 0 && ts.events[0].Thread == id {
-			return ts
+		if err := nd.Load(tr); err != nil {
+			return fmt.Errorf("numa: node %d: %w", nd.id, err)
 		}
 	}
 	return nil
 }
 
-// Run replays the loaded trace to completion. Each cycle ticks every
-// node in id order, then advances the fabric, lands its arrivals,
-// samples the recorder and checks the exit conditions.
+// Run replays the loaded trace to completion. Each cycle steps every
+// node in id order — its cores issue, the interconnect takes its
+// outbound traffic, then its coalescer and device serve — then advances
+// the fabric, lands its arrivals, samples the recorder and checks the
+// exit conditions.
 func (s *System) Run() (*Result, error) {
 	for now := sim.Cycle(0); now < s.cfg.Tile.Node.MaxCycles; now++ {
 		s.tickChaos(now)
 		for _, nd := range s.nodes {
-			s.pumpRetries(nd, now)
-			nd.sentThisCycle = 0
-			s.tickThreads(nd, now)
+			nd.Issue(now)
 			s.pumpInterconnect(nd, now)
-			nd.router.DrainToMAC(nd.coal, now)
-			s.tickCoalescer(nd, now)
-			s.deliverResponses(nd, now)
+			nd.Serve(now)
 		}
 		s.fab.Tick(now)
 		s.deliverMessages(now)
@@ -448,7 +331,11 @@ func (s *System) Run() (*Result, error) {
 		if s.drained() {
 			return s.result(now + 1), nil
 		}
-		if s.watchdog.Check(now, s.progress) {
+		progress := s.progress
+		for _, nd := range s.nodes {
+			progress += nd.Progress()
+		}
+		if s.watchdog.Check(now, progress) {
 			return nil, s.stallError(now)
 		}
 	}
@@ -462,93 +349,17 @@ func (s *System) stallError(now sim.Cycle) error {
 		{Key: "interconnect in flight", Value: s.fab.InFlight()},
 	}
 	for _, nd := range s.nodes {
+		e := nd.Stall(now)
 		line := fmt.Sprintf("router=%d coal=%d/%d dev=%d outstanding=%d",
-			nd.router.Pending(), nd.coal.Pending(), nd.coal.Inflight(),
-			nd.dev.Pending(), nd.resp.Pending())
-		if tag, registered, b, ok := nd.resp.Oldest(); ok {
+			e.RouterPending, e.CoalescerPending, e.CoalescerInflight, e.DevicePending, e.OutstandingTx)
+		if e.OutstandingTx > 0 {
 			line += fmt.Sprintf(" oldest=tag %d age %d (%s 0x%x)",
-				tag, now-registered, b.Req.Kind, b.Req.Addr)
+				e.OldestTxTag, e.OldestTxAge, e.OldestTxKind, e.OldestTxAddr)
 		}
 		kvs = append(kvs, stats.KV{Key: fmt.Sprintf("node %d", nd.id), Value: line})
 	}
 	return fmt.Errorf("numa: no forward progress for %d cycles at cycle %d (lost response or resource leak?)\n%s",
 		s.cfg.Tile.Node.StallLimit, now, stats.FormatKV(kvs))
-}
-
-func (s *System) tickThreads(nd *node, now sim.Cycle) {
-	for _, t := range nd.threads {
-		if t.spmBusy != 0 {
-			if now < t.spmBusy {
-				continue
-			}
-			t.spmBusy = 0
-		}
-		if t.gapLeft > 0 {
-			t.gapLeft--
-			t.retired++
-			s.progress++
-			continue
-		}
-		if t.pc >= len(t.events) {
-			continue
-		}
-		e := t.events[t.pc]
-		if e.Op.IsMemory() && addr.IsSPM(e.Addr) {
-			t.spmBusy = now + s.cfg.Tile.Node.SPMLatency
-			t.retired++
-			s.progress++
-			s.spmAccesses++
-			s.advance(t)
-			continue
-		}
-		if e.Op == trace.Fence {
-			if t.outstanding > 0 {
-				continue
-			}
-			if !nd.router.OfferLocal(memreq.RawRequest{Fence: true, Thread: e.Thread}) {
-				continue
-			}
-			t.retired++
-			s.progress++
-			s.advance(t)
-			continue
-		}
-		if t.outstanding >= s.cfg.Tile.Node.MaxOutstanding {
-			continue
-		}
-		req := memreq.RawRequest{
-			Addr:   e.Addr,
-			Size:   e.Size,
-			Store:  e.Op == trace.Store,
-			Atomic: e.Op == trace.Atomic,
-			Thread: e.Thread,
-			Tag:    t.nextTag,
-		}
-		if !nd.router.OfferLocal(req) {
-			continue
-		}
-		t.nextTag++
-		t.outstanding++
-		t.issuedAt[req.Tag] = now
-		t.retired++
-		s.progress++
-		s.memRequests++
-		if s.cfg.Tile.Retry.Enabled() {
-			nd.inflightReq[reqKey{req.Thread, req.Tag}] = &reqAttempt{req: req}
-		}
-		if nd.router.Dest(e.Addr) != nd.id {
-			s.remoteReqs++
-			nd.remoteSent++
-		}
-		s.advance(t)
-	}
-}
-
-func (s *System) advance(t *threadState) {
-	t.pc++
-	if t.pc < len(t.events) {
-		t.gapLeft = uint32(t.events[t.pc].Gap)
-	}
 }
 
 // tickChaos advances the chaos engine and forwards any pending
@@ -580,7 +391,7 @@ func (s *System) pumpInterconnect(nd *node, now sim.Cycle) {
 		nd.respOut = nd.respOut[1:]
 		s.progress++
 	}
-	for nd.sentThisCycle < s.reqBudget {
+	for sent := 0; sent < s.reqBudget; sent++ {
 		out, ok := nd.router.PeekOutbound()
 		if !ok {
 			return
@@ -595,152 +406,37 @@ func (s *System) pumpInterconnect(nd *node, now sim.Cycle) {
 			return
 		}
 		nd.router.PopOutbound()
-		nd.sentThisCycle++
 	}
 }
 
-func (s *System) tickCoalescer(nd *node, now sim.Cycle) {
-	if !nd.dev.CanAccept() {
-		if nd.mac != nil {
-			nd.mac.SampleOccupancy()
-		}
-		return
+// ReturnRemote implements cpu.RemotePort: a target node from served
+// for a thread homed on node home travels back over the interconnect
+// (§3.3).
+func (s *System) ReturnRemote(from, home int, tgt memreq.Target, kind hmc.Kind, poisoned bool, now sim.Cycle) {
+	nd := s.nodes[from]
+	nd.remoteServed++
+	m := noc.Message[payload]{
+		Src:     from,
+		Dst:     home,
+		Flits:   respFlits(kind),
+		Payload: payload{isResponse: true, poisoned: poisoned, target: tgt},
 	}
-	for _, b := range nd.coal.Tick(now) {
-		bb := b
-		nd.resp.Register(&bb, now)
-		bb.Span.MarkSubmit(uint64(now))
-		nd.dev.Submit(bb.Req, now)
-		s.progress++
-	}
-}
-
-// deliverResponses routes device completions: local targets retire
-// directly, remote targets travel back over the interconnect (§3.3).
-func (s *System) deliverResponses(nd *node, now sim.Cycle) {
-	for _, resp := range nd.dev.Tick(now) {
-		b, status := nd.resp.Deliver(resp)
-		switch status {
-		case core.RespDuplicate, core.RespUnknown:
-			// Counted by the response router; nothing to retire.
-			continue
-		}
-		poisoned := status == core.RespPoisoned
-		nd.coal.Completed(b)
-		s.progress++
-		b.Span.MarkRespond(uint64(now))
-		s.obs.Trace().Transaction(resp.Tag, b.Span)
-		for _, tgt := range b.Targets {
-			home := int(tgt.Thread) % s.cfg.Nodes
-			if home == nd.id {
-				s.retire(tgt, now, poisoned)
-				continue
-			}
-			nd.remoteServed++
-			m := noc.Message[payload]{
-				Src:     nd.id,
-				Dst:     home,
-				Flits:   respFlits(b.Req.Kind),
-				Payload: payload{isResponse: true, poisoned: poisoned, target: tgt},
-			}
-			if !s.fab.Send(now, m) {
-				// Routed-fabric backpressure: park the response and
-				// retry it (ahead of requests) next cycle. The ideal
-				// fabric never refuses.
-				nd.respOut = append(nd.respOut, m)
-			}
-		}
-		// Every target has been consumed (retired locally or copied
-		// into a response message) and the span recorded: hand the
-		// transaction's slab back to the coalescer.
-		if nd.rec != nil {
-			nd.rec.Recycle(b)
-		}
+	if !s.fab.Send(now, m) {
+		// Routed-fabric backpressure: park the response and retry it
+		// (ahead of requests) next cycle. The ideal fabric never
+		// refuses.
+		nd.respOut = append(nd.respOut, m)
 	}
 }
 
-// deliverMessages lands arrived interconnect messages. A request whose
-// owner node's Remote Access Queue is full stays queued in the fabric
-// — without letting younger traffic from its source pass it — and is
-// offered again next cycle.
+// deliverMessages lands arrived interconnect messages: a response
+// retires its target at the home node, a request joins the owner
+// node's Remote Access Queue. A request whose Remote Access Queue is
+// full stays queued in the fabric — without letting younger traffic
+// from its source pass it — and is offered again next cycle.
 func (s *System) deliverMessages(now sim.Cycle) {
 	s.landAt = now
 	s.fab.Deliver(now, s.land)
-}
-
-// retire lands one target at its thread's home node: directly when
-// the serving node is the home, or when the response arrives over the
-// fabric.
-func (s *System) retire(tgt memreq.Target, now sim.Cycle, poisoned bool) {
-	if tgt.Cont {
-		// Continuation half of a window-split request: the head half
-		// owns the request's one LSQ slot and latency observation.
-		return
-	}
-	home := s.nodes[int(tgt.Thread)%s.cfg.Nodes]
-	t := s.thread(tgt.Thread)
-	if t == nil {
-		// A corrupt target naming a thread the system does not run:
-		// count it and keep going rather than tearing the run down.
-		s.misrouted++
-		return
-	}
-	if t.outstanding <= 0 {
-		s.retireUnderflows++
-		return
-	}
-	if poisoned && s.scheduleRetry(home, tgt, now) {
-		// The LSQ slot stays occupied and issuedAt keeps the original
-		// issue cycle: latency spans the retries, fences keep waiting.
-		return
-	}
-	t.outstanding--
-	s.progress++
-	if poisoned {
-		s.failedRequests++
-	}
-	if s.cfg.Tile.Retry.Enabled() {
-		delete(home.inflightReq, reqKey{tgt.Thread, tgt.Tag})
-	}
-	if issue, ok := t.issuedAt[tgt.Tag]; ok {
-		t.latency.Observe(uint64(now - issue))
-		delete(t.issuedAt, tgt.Tag)
-	}
-}
-
-// scheduleRetry queues a poisoned request for re-issue at its home
-// node if the retry policy has budget left; it reports whether the
-// retirement should be suppressed.
-func (s *System) scheduleRetry(home *node, tgt memreq.Target, now sim.Cycle) bool {
-	if !s.cfg.Tile.Retry.Enabled() {
-		return false
-	}
-	a, ok := home.inflightReq[reqKey{tgt.Thread, tgt.Tag}]
-	if !ok || a.attempts >= s.cfg.Tile.Retry.MaxRetries {
-		return false
-	}
-	a.attempts++
-	home.retryPend = append(home.retryPend, retryPend{due: now + s.cfg.Tile.Retry.Backoff, req: a.req})
-	return true
-}
-
-// pumpRetries re-offers nd's poisoned requests whose backoff expired;
-// a full router queue retries next cycle. Requests re-issue at the
-// node their thread lives on.
-func (s *System) pumpRetries(nd *node, now sim.Cycle) {
-	if len(nd.retryPend) == 0 {
-		return
-	}
-	keep := nd.retryPend[:0]
-	for _, p := range nd.retryPend {
-		if p.due > now || !nd.router.OfferLocal(p.req) {
-			keep = append(keep, p)
-			continue
-		}
-		s.retriedRequests++
-		s.progress++
-	}
-	nd.retryPend = keep
 }
 
 func (s *System) drained() bool {
@@ -748,15 +444,8 @@ func (s *System) drained() bool {
 		return false
 	}
 	for _, nd := range s.nodes {
-		if nd.router.Pending() > 0 || nd.coal.Pending() > 0 ||
-			nd.coal.Inflight() > 0 || nd.dev.Pending() > 0 ||
-			len(nd.respOut) > 0 || len(nd.retryPend) > 0 {
+		if len(nd.respOut) > 0 || !nd.Drained() {
 			return false
-		}
-		for _, t := range nd.threads {
-			if !t.done() {
-				return false
-			}
 		}
 	}
 	return true
@@ -764,34 +453,22 @@ func (s *System) drained() bool {
 
 func (s *System) result(cycles sim.Cycle) *Result {
 	r := &Result{
-		Cycles:           cycles,
-		MemRequests:      s.memRequests,
-		SPMAccesses:      s.spmAccesses,
-		RemoteRequests:   s.remoteReqs,
-		FailedRequests:   s.failedRequests,
-		RetriedRequests:  s.retriedRequests,
-		RetireUnderflows: s.retireUnderflows,
-		Misrouted:        s.misrouted,
-		NoC:              s.fab.Stats(),
-		Chaos:            s.chaos.Stats(),
+		Cycles: cycles,
+		NoC:    s.fab.Stats(),
+		Chaos:  s.chaos.Stats(),
 	}
 	for _, nd := range s.nodes {
-		for _, t := range nd.threads {
-			r.Instructions += t.retired
-			r.RequestLatency.Merge(&t.latency)
-		}
-		ns := NodeStats{
-			Coalescer:    *nd.coal.Stats(),
-			Device:       *nd.dev.Stats(),
-			Responses:    nd.resp.Stats(),
-			RemoteServed: nd.remoteServed,
-			RemoteSent:   nd.remoteSent,
-		}
-		if st := nd.dev.CubeStats(); st != nil {
-			snap := *st
-			ns.Cube = &snap
-		}
-		r.PerNode = append(r.PerNode, ns)
+		nr := nd.Result(cycles)
+		r.Instructions += nr.Instructions
+		r.MemRequests += nr.MemRequests
+		r.SPMAccesses += nr.SPMAccesses
+		r.RemoteRequests += nr.RemoteRequests
+		r.FailedRequests += nr.FailedRequests
+		r.RetriedRequests += nr.RetriedRequests
+		r.RetireUnderflows += nr.RetireUnderflows
+		r.Misrouted += nr.Misrouted
+		r.RequestLatency.Merge(&nr.RequestLatency)
+		r.PerNode = append(r.PerNode, NodeStats{Result: *nr, RemoteServed: nd.remoteServed})
 	}
 	return r
 }

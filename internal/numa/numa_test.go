@@ -2,6 +2,7 @@ package numa
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -257,8 +258,9 @@ func TestDeterministic(t *testing.T) {
 
 // TestObservedSystem wires two nodes — two MACs, two devices — into
 // one shared observability handle: the per-node name prefixes must
-// keep the registrations apart (duplicate names panic), and each
-// node's occupancy metric must agree with its own per-cycle sampling.
+// keep the registrations apart (duplicate names panic), each node's
+// occupancy metric must agree with its own per-cycle sampling, and
+// each node registers the node.* series of its tile.
 func TestObservedSystem(t *testing.T) {
 	cfg := DefaultConfig()
 	o := obs.New(1, 1<<16)
@@ -270,7 +272,8 @@ func TestObservedSystem(t *testing.T) {
 	if err := s.Load(seqTrace(4, 128)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(); err != nil {
+	res, err := s.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < cfg.Nodes; i++ {
@@ -279,12 +282,24 @@ func TestObservedSystem(t *testing.T) {
 		if !ok {
 			t.Fatalf("metric %s missing", name)
 		}
-		if want := s.nodes[i].mac.Aggregator().OccupancyMean(); got != want {
+		if want := res.PerNode[i].ARQOccupancy; got != want {
 			t.Fatalf("%s = %v, want %v", name, got, want)
 		}
 		series, ok := o.Recorder.Lookup(fmt.Sprintf("node%d.mac.arq.occupancy", i))
 		if !ok || len(series.Points) == 0 {
 			t.Fatalf("node %d occupancy timeseries missing or empty", i)
+		}
+		name = fmt.Sprintf("node%d.node.mem_requests", i)
+		got, ok = o.Registry.Get(name)
+		if !ok {
+			t.Fatalf("metric %s missing", name)
+		}
+		if want := float64(res.PerNode[i].MemRequests); got != want || want == 0 {
+			t.Fatalf("%s = %v, want the node's %v issued requests", name, got, want)
+		}
+		series, ok = o.Recorder.Lookup(fmt.Sprintf("node%d.node.lsq.outstanding", i))
+		if !ok || len(series.Points) == 0 {
+			t.Fatalf("node %d LSQ occupancy timeseries missing or empty", i)
 		}
 	}
 	if o.Tracer.Len() == 0 {
@@ -346,9 +361,8 @@ func TestRetryBudgetExhaustsAcrossNodes(t *testing.T) {
 // single-node driver implements are errors, not silently ignored.
 func TestConfigRejectsSingleNodeFeatures(t *testing.T) {
 	for name, mutate := range map[string]func(*Config){
-		"audit":         func(c *Config) { c.Tile.Audit = true },
-		"target buffer": func(c *Config) { c.Tile.Node.TargetBufferDepth = 4 },
-		"unknown kind":  func(c *Config) { c.Tile.Kind = 42 },
+		"audit":        func(c *Config) { c.Tile.Audit = true },
+		"unknown kind": func(c *Config) { c.Tile.Kind = 42 },
 	} {
 		cfg := DefaultConfig()
 		mutate(&cfg)
@@ -361,6 +375,28 @@ func TestConfigRejectsSingleNodeFeatures(t *testing.T) {
 	}
 }
 
+// TestBoundedTargetBuffer: a NUMA node honours a bounded target
+// buffer the way a single node does — a full buffer backpressures the
+// coalescer and the run still retires every request.
+func TestBoundedTargetBuffer(t *testing.T) {
+	cfg := nodesConfig(4, 2)
+	cfg.Tile.Node.TargetBufferDepth = 2
+	res, err := Run(cfg, goldMixTrace(7, 8, 400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.RequestLatency.Count(); got != 400 {
+		t.Fatalf("retired %d of 400 requests", got)
+	}
+	var rejects uint64
+	for _, ns := range res.PerNode {
+		rejects += ns.Responses.RegisterRejects
+	}
+	if rejects == 0 {
+		t.Fatal("a 2-entry target buffer never refused a transaction")
+	}
+}
+
 // TestRunAttachesTileObs: Run wires Tile.Obs in, as cpu.Run does.
 func TestRunAttachesTileObs(t *testing.T) {
 	cfg := DefaultConfig()
@@ -370,5 +406,29 @@ func TestRunAttachesTileObs(t *testing.T) {
 	}
 	if _, ok := cfg.Tile.Obs.Registry.Get("numa.remote_requests"); !ok {
 		t.Fatal("Run left Tile.Obs unattached")
+	}
+}
+
+// TestWatchdogFiresAcrossNodes: a device that drops every response
+// starves every node; the system watchdog fires on the summed progress
+// of all nodes, at the cycle it always has, and names each node in its
+// diagnostic.
+func TestWatchdogFiresAcrossNodes(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Tile.HMC.Faults.DropResponseEvery = 1
+	cfg.Tile.Node.StallLimit = 2_000
+	cfg.Tile.Node.MaxCycles = 10_000_000
+	_, err := Run(cfg, seqTrace(4, 8))
+	if err == nil {
+		t.Fatal("run with every response dropped completed")
+	}
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "numa: no forward progress for 2000 cycles at cycle 2363 ") {
+		t.Fatalf("watchdog error = %q, want it to fire at cycle 2363", msg)
+	}
+	for _, node := range []string{"node 0", "node 1"} {
+		if !strings.Contains(msg, node) {
+			t.Errorf("watchdog diagnostic does not name %s:\n%s", node, msg)
+		}
 	}
 }

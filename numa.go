@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"mac3d/internal/cpu"
 	"mac3d/internal/noc"
 	"mac3d/internal/numa"
 	"mac3d/internal/sim"
@@ -376,10 +377,10 @@ func RunNUMA(opts NUMAOptions) (*NUMAReport, error) {
 			ChaosStallCycles:    chaosStalls,
 		}
 	}
-	if opts.Cube != "" {
-		rep.Cube = newCubeReport(cfg.Tile.HMC.Cube, res.PerNode...)
-	}
-	for i, ns := range res.PerNode {
+	tiles := make([]*cpu.Result, len(res.PerNode))
+	for i := range res.PerNode {
+		ns := &res.PerNode[i]
+		tiles[i] = &ns.Result
 		rep.PerNode = append(rep.PerNode, NUMANodeReport{
 			Node:                 i,
 			Transactions:         ns.Coalescer.Transactions,
@@ -387,8 +388,11 @@ func RunNUMA(opts NUMAOptions) (*NUMAReport, error) {
 			BankConflicts:        ns.Device.BankConflicts,
 			BandwidthEfficiency:  ns.Device.BandwidthEfficiency(),
 			RemoteServed:         ns.RemoteServed,
-			RemoteSent:           ns.RemoteSent,
+			RemoteSent:           ns.RemoteRequests,
 		})
+	}
+	if opts.Cube != "" {
+		rep.Cube = newCubeReport(cfg.Tile.HMC.Cube, tiles...)
 	}
 	return rep, nil
 }

@@ -6,7 +6,6 @@ import (
 	"mac3d/internal/chaos"
 	"mac3d/internal/cpu"
 	"mac3d/internal/hmc"
-	"mac3d/internal/numa"
 	"mac3d/internal/sim"
 )
 
@@ -345,7 +344,7 @@ func newRunReport(opts RunOptions, cfg cpu.RunConfig, res *cpu.Result) RunReport
 		rep.Audit = ar
 	}
 	if opts.Cube != "" {
-		rep.Cube = newCubeReport(cfg.HMC.Cube, numa.NodeStats{Device: res.Device, Cube: res.Cube})
+		rep.Cube = newCubeReport(cfg.HMC.Cube, res)
 	}
 	return rep
 }
@@ -371,7 +370,7 @@ func newChaosReport(p chaos.Profile, c *chaos.Stats) *ChaosReport {
 
 // newCubeReport renders the cube block of a run under its lowered cube
 // config, summing the device and cube-fabric counters of every node.
-func newCubeReport(cube hmc.CubeConfig, nodes ...numa.NodeStats) *CubeReport {
+func newCubeReport(cube hmc.CubeConfig, nodes ...*cpu.Result) *CubeReport {
 	cr := &CubeReport{Config: cube.String(), Topology: cube.Topology, PagePolicy: cube.PagePolicy}
 	for _, n := range nodes {
 		cr.RowHits += n.Device.RowHits
