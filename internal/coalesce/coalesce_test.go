@@ -241,6 +241,48 @@ func TestMSHRAtomicBypasses(t *testing.T) {
 	m.Completed(&out[0])
 }
 
+func TestMSHRLineSpill(t *testing.T) {
+	// A request spilling past its line's end stretches the line fill
+	// to cover the spill, and merges only onto a fill whose sent span
+	// covers it: it stalls behind one that does not.
+	m := NewMSHR(DefaultMSHRConfig())
+	m.Push(memreq.RawRequest{Addr: 0x100, Size: 8, Tag: 1}, 0)
+	m.Push(memreq.RawRequest{Addr: 0x13c, Size: 8, Tag: 2}, 0)
+	first := m.Tick(0)
+	if len(first) != 1 || first[0].Req.Addr != 0x100 || first[0].Req.Data != 64 {
+		t.Fatalf("first fill = %+v, want 64B at 0x100", first)
+	}
+	if got := m.Tick(1); len(got) != 0 || m.Pending() != 1 {
+		t.Fatal("spilling request merged onto a fill that misses its tail")
+	}
+	m.Completed(&first[0])
+	if len(first[0].Targets) != 1 {
+		t.Fatalf("first fill delivers %d targets, want 1", len(first[0].Targets))
+	}
+	second := m.Tick(2)
+	if len(second) != 1 || second[0].Req.Addr != 0x100 || second[0].Req.Data != 80 {
+		t.Fatalf("spill fill = %+v, want 80B at 0x100", second)
+	}
+}
+
+// TestAtomicSentAloneCoversSpan: every frontend sends an atomic alone,
+// sized to its FLIT span — two FLITs for one that crosses a FLIT
+// boundary.
+func TestAtomicSentAloneCoversSpan(t *testing.T) {
+	warp, _ := NewWarp(DefaultWarpConfig())
+	mc, _ := NewMemCache(DefaultMemCacheConfig())
+	for name, c := range map[string]memreq.Coalescer{
+		"raw": NewNull(DefaultNullConfig()), "mshr": NewMSHR(DefaultMSHRConfig()),
+		"warp": warp, "memcache": mc,
+	} {
+		c.Push(memreq.RawRequest{Addr: 0x10c, Size: 8, Atomic: true, Tag: 1}, 0)
+		out := c.Tick(0)
+		if len(out) != 1 || out[0].Req.Kind != hmc.AtomicOp || out[0].Req.Addr != 0x100 || out[0].Req.Data != 32 {
+			t.Errorf("%s: atomic = %+v, want 32B at 0x100", name, out)
+		}
+	}
+}
+
 func TestMSHRFence(t *testing.T) {
 	m := NewMSHR(DefaultMSHRConfig())
 	m.Push(memreq.RawRequest{Addr: 0x100, Size: 8, Tag: 1}, 0)

@@ -5,10 +5,8 @@ import (
 	"math/bits"
 
 	"mac3d/internal/addr"
-	"mac3d/internal/hmc"
 	"mac3d/internal/memreq"
 	"mac3d/internal/obs"
-	"mac3d/internal/queue"
 	"mac3d/internal/sim"
 )
 
@@ -46,48 +44,38 @@ func (c MSHRConfig) Validate() error {
 	return nil
 }
 
-// mshrEntry is one outstanding line miss. Targets merged after the
-// line transaction dispatched are parked in late and delivered when
-// the response returns.
+// mshrEntry is one outstanding line miss: the line transaction and the
+// targets merged after it dispatched, delivered when it returns.
 type mshrEntry struct {
-	key   uint64 // line-aligned address with the store bit in bit 63
-	store bool
-	slot  int // index in the register file (for bitset bookkeeping)
-	late  []memreq.Target
+	lineFill
+	key  uint64 // line-aligned address with the store bit in bit 63
+	slot int    // index in the register file (for bitset bookkeeping)
 }
 
 // MSHR models conventional miss-status-holding-register coalescing
 // (§2.3): the first request to a line allocates an entry and dispatches
-// a fixed-size line transaction immediately; subsequent requests to the
-// same line and type merge into the entry while it is outstanding and
-// produce no traffic. The entry frees when the line response returns.
-// This is the design whose limitations (§2.3.2) motivate MAC: the
-// transaction size is pinned to LineBytes no matter how many requests
-// merge, and merging stops the moment the original miss completes.
+// a line transaction immediately; subsequent requests to the same line
+// and type that the dispatched span covers merge into the entry while
+// it is outstanding and produce no traffic. The entry frees when the
+// line response returns. This is the design whose limitations (§2.3.2)
+// motivate MAC: the transaction size is pinned to LineBytes no matter
+// how many requests merge (a request spilling past the line end only
+// stretches it to cover the spill), and merging stops the moment the
+// original miss completes.
 //
 // The register file is a fixed slab with an occupancy bitset and a
 // CAM-style linear key scan — what the hardware's parallel comparators
-// do, and in software a bounded allocation-free probe. The previous
-// map representation allocated on every miss and rehashed under churn,
-// which dominated the per-cycle profile. Per-slot late lists are
-// preallocated arenas, and Built target lists come from a recycling
-// slab pool (see Recycle).
+// do, and in software a bounded allocation-free probe. Per-slot late
+// lists are preallocated arenas.
 type MSHR struct {
+	intake
 	cfg MSHRConfig
-	q   *queue.FIFO[memreq.RawRequest]
 
 	// entries is the fixed register file; used is its occupancy
 	// bitset (bit i set -> entries[i] holds an outstanding miss).
 	entries []mshrEntry
 	used    []uint64
 	count   int
-
-	// slabs is the free pool of target slices handed out in Builts.
-	slabs [][]memreq.Target
-
-	heldFence bool
-	inflight  int
-	st        *memreq.Stats
 }
 
 var _ memreq.Coalescer = (*MSHR)(nil)
@@ -99,11 +87,10 @@ func NewMSHR(cfg MSHRConfig) *MSHR {
 		panic(err)
 	}
 	m := &MSHR{
+		intake:  newIntake(cfg.QueueDepth, cfg.MaxMerges),
 		cfg:     cfg,
-		q:       queue.New[memreq.RawRequest](cfg.QueueDepth),
 		entries: make([]mshrEntry, cfg.Entries),
 		used:    make([]uint64, (cfg.Entries+63)/64),
-		st:      memreq.NewStats(),
 	}
 	for i := range m.entries {
 		m.entries[i].slot = i
@@ -140,7 +127,7 @@ func (m *MSHR) lookup(key uint64) *mshrEntry {
 // alloc claims the lowest free register for key. Slot choice is
 // invisible to timing (entries are only ever found by key), so
 // lowest-free keeps the scan short without affecting results.
-func (m *MSHR) alloc(key uint64, store bool) *mshrEntry {
+func (m *MSHR) alloc(key uint64) *mshrEntry {
 	for w, word := range m.used {
 		free := ^word
 		if w == len(m.used)-1 && m.cfg.Entries%64 != 0 {
@@ -153,7 +140,7 @@ func (m *MSHR) alloc(key uint64, store bool) *mshrEntry {
 		m.used[w] |= 1 << (i % 64)
 		m.count++
 		e := &m.entries[i]
-		e.key, e.store, e.late = key, store, e.late[:0]
+		e.key = key
 		return e
 	}
 	return nil
@@ -165,100 +152,25 @@ func (m *MSHR) release(e *mshrEntry) {
 	m.count--
 }
 
-// takeTargets returns a pooled target slice seeded with t.
-func (m *MSHR) takeTargets(t memreq.Target) []memreq.Target {
-	if n := len(m.slabs); n > 0 {
-		s := m.slabs[n-1]
-		m.slabs = m.slabs[:n-1]
-		return append(s, t)
-	}
-	return append(make([]memreq.Target, 0, m.cfg.MaxMerges), t)
-}
-
-// Recycle implements memreq.Recycler: a fully consumed Built hands its
-// target slab back to the pool. Optional; see memreq.Recycler.
-func (m *MSHR) Recycle(b *memreq.Built) {
-	if b == nil || b.Targets == nil {
-		return
-	}
-	if cap(b.Targets) > 0 {
-		m.slabs = append(m.slabs, b.Targets[:0])
-	}
-	b.Targets = nil
-}
-
-// Push offers one raw request; it reports acceptance.
-func (m *MSHR) Push(r memreq.RawRequest, now sim.Cycle) bool {
-	if !m.q.Push(r) {
-		m.st.PushRejects++
-		return false
-	}
-	switch {
-	case r.Fence:
-		m.st.Fences++
-	case r.Atomic:
-		m.st.RawRequests++
-		m.st.RawAtomics++
-	case r.Store:
-		m.st.RawRequests++
-		m.st.RawStores++
-	default:
-		m.st.RawRequests++
-		m.st.RawLoads++
-	}
-	return true
-}
-
 // Tick processes one queued request per cycle: merge into an
 // outstanding MSHR (producing no traffic) or allocate an entry and
-// dispatch the fixed-size line transaction immediately.
+// dispatch its line transaction immediately.
 func (m *MSHR) Tick(now sim.Cycle) []memreq.Built {
-	if m.heldFence {
-		if m.inflight != 0 {
-			return nil
-		}
-		m.heldFence = false
-	}
-	head, ok := m.q.Peek()
+	head, ok := m.head()
 	if !ok {
 		return nil
 	}
-
-	switch {
-	case head.Fence:
-		m.q.Pop()
-		m.heldFence = true
-		return nil
-
-	case head.Atomic:
-		m.q.Pop()
-		b := memreq.Built{
-			Req: hmc.Request{
-				Kind: hmc.AtomicOp,
-				Addr: head.Addr &^ uint64(addr.FlitMask),
-				Data: addr.FlitBytes,
-			},
-			Targets: m.takeTargets(memreq.Target{
-				Thread: head.Thread, Tag: head.Tag, Flit: addr.FlitID(head.Addr),
-			}),
-			Bypassed: true,
-		}
-		b.Req.Normalize()
-		m.noteDispatch(&b)
-		return []memreq.Built{b}
+	if head.Atomic {
+		return []memreq.Built{m.bypass(head)}
 	}
 
 	key := m.lineKey(head.Addr, head.Store)
-	tgt := memreq.Target{Thread: head.Thread, Tag: head.Tag, Flit: addr.FlitID(head.Addr)}
-
 	if e := m.lookup(key); e != nil {
-		if 1+len(e.late) < m.cfg.MaxMerges {
-			// Merge under the outstanding miss: no new traffic.
-			m.q.Pop()
-			e.late = append(e.late, tgt)
-			return nil
+		if e.merge(head, m.cfg.MaxMerges) {
+			m.q.Pop() // merged under the outstanding miss: no new traffic
 		}
-		// Entry full: structural stall until the line completes.
+		// Otherwise the entry is full, or its span misses the request:
+		// structural stall until the line completes.
 		return nil
 	}
 
@@ -267,76 +179,30 @@ func (m *MSHR) Tick(now sim.Cycle) []memreq.Built {
 	}
 
 	m.q.Pop()
-	e := m.alloc(key, head.Store)
-	kind := hmc.Read
-	if head.Store {
-		kind = hmc.Write
-	}
-	b := memreq.Built{
-		Req: hmc.Request{
-			Kind: kind,
-			Addr: key &^ (1 << 63),
-			Data: m.cfg.LineBytes,
-		},
-		Targets: m.takeTargets(tgt),
-		Handle:  e,
-	}
-	b.Req.Normalize()
-	m.noteDispatch(&b)
+	e := m.alloc(key)
+	b := m.send(&e.lineFill, head, head.Kind(), m.cfg.LineBytes)
+	b.Handle = e
+	m.emit(&b)
 	return []memreq.Built{b}
-}
-
-func (m *MSHR) noteDispatch(b *memreq.Built) {
-	m.st.Transactions++
-	if b.Bypassed {
-		m.st.Bypassed++
-	}
-	m.st.BuiltBySizeBytes[b.Req.Data]++
-	m.inflight++
 }
 
 // Completed frees the MSHR entry of the finished transaction and folds
 // any targets merged after dispatch into the transaction's target list
 // so the caller's response routing delivers them too.
 func (m *MSHR) Completed(b *memreq.Built) {
-	if m.inflight == 0 {
-		panic("coalesce: MSHR.Completed without matching emission")
-	}
-	m.inflight--
-	if e, ok := b.Handle.(*mshrEntry); ok && e != nil {
-		if len(e.late) > 0 {
-			// A pooled Targets has cap MaxMerges and dispatch + late
-			// is at most MaxMerges, so this append stays in place.
-			b.Targets = append(b.Targets, e.late...)
-		}
+	m.complete()
+	if e, ok := b.Handle.(*mshrEntry); ok {
+		e.land(b)
 		m.release(e)
 	}
 	m.st.TargetsPerTx.Observe(uint64(len(b.Targets)))
 }
 
-// Pending returns queued raw requests (including a held fence).
-func (m *MSHR) Pending() int {
-	p := m.q.Len()
-	if m.heldFence {
-		p++
-	}
-	return p
-}
-
-// Inflight returns dispatched transactions not yet completed.
-func (m *MSHR) Inflight() int { return m.inflight }
-
-// Stats returns the accumulated statistics.
-func (m *MSHR) Stats() *memreq.Stats { return m.st }
-
-// Reset restores the initial empty state (the slab pool survives).
+// Reset restores the initial empty state (the target pool survives).
 func (m *MSHR) Reset() {
-	m.q.Reset()
+	m.reset()
 	clear(m.used)
 	m.count = 0
-	m.heldFence = false
-	m.inflight = 0
-	m.st = memreq.NewStats()
 }
 
 // AttachObs registers the MSHR's occupancy and queue state into a

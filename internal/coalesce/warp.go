@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math/bits"
 
-	"mac3d/internal/addr"
 	"mac3d/internal/hmc"
 	"mac3d/internal/memreq"
 	"mac3d/internal/obs"
-	"mac3d/internal/queue"
 	"mac3d/internal/sim"
 )
 
@@ -79,22 +77,16 @@ type warpState struct {
 // cross-warp window — divergent warps pay one transaction per distinct
 // block.
 type Warp struct {
+	intake
 	cfg        WarpConfig
 	logLanes   uint
 	blockShift uint
-	q          *queue.FIFO[memreq.RawRequest]
 
 	cur  *warpState
 	live int
 
-	// slabs pools target slices handed out in Builts; warps pools
-	// retired warpState values (lane arrays survive).
-	slabs [][]memreq.Target
+	// warps pools retired warpState values (lane arrays survive).
 	warps []*warpState
-
-	heldFence bool
-	inflight  int
-	st        *memreq.Stats
 }
 
 var _ memreq.Coalescer = (*Warp)(nil)
@@ -108,13 +100,12 @@ func NewWarp(cfg WarpConfig) (*Warp, error) {
 	}
 	logLanes := uint(bits.TrailingZeros(uint(cfg.Lanes)))
 	w := &Warp{
+		intake:   newIntake(cfg.QueueDepth, cfg.Lanes),
 		cfg:      cfg,
 		logLanes: logLanes,
 		// The lane block is Lanes words of 4 bytes, the exemplar's
 		// addr >> (LOG_LANES+2); Lanes >= 4 keeps it FLIT-aligned.
 		blockShift: logLanes + 2,
-		q:          queue.New[memreq.RawRequest](cfg.QueueDepth),
-		st:         memreq.NewStats(),
 	}
 	w.st.Warp = &memreq.WarpStats{}
 	return w, nil
@@ -122,28 +113,6 @@ func NewWarp(cfg WarpConfig) (*Warp, error) {
 
 // blockBytes returns the lane-block span in bytes.
 func (w *Warp) blockBytes() uint32 { return uint32(1) << w.blockShift }
-
-// takeTargets returns a pooled target slice seeded with t.
-func (w *Warp) takeTargets(t memreq.Target) []memreq.Target {
-	if n := len(w.slabs); n > 0 {
-		s := w.slabs[n-1]
-		w.slabs = w.slabs[:n-1]
-		return append(s, t)
-	}
-	return append(make([]memreq.Target, 0, w.cfg.Lanes), t)
-}
-
-// Recycle implements memreq.Recycler: a fully consumed Built hands its
-// target slab back to the pool.
-func (w *Warp) Recycle(b *memreq.Built) {
-	if b == nil || b.Targets == nil {
-		return
-	}
-	if cap(b.Targets) > 0 {
-		w.slabs = append(w.slabs, b.Targets[:0])
-	}
-	b.Targets = nil
-}
 
 // takeWarp returns a pooled (or fresh) empty warpState.
 func (w *Warp) takeWarp() *warpState {
@@ -158,91 +127,36 @@ func (w *Warp) takeWarp() *warpState {
 	return &warpState{lanes: make([]warpLane, 0, w.cfg.Lanes)}
 }
 
-// Push offers one raw request; it reports acceptance.
-func (w *Warp) Push(r memreq.RawRequest, now sim.Cycle) bool {
-	if !w.q.Push(r) {
-		w.st.PushRejects++
-		return false
-	}
-	switch {
-	case r.Fence:
-		w.st.Fences++
-	case r.Atomic:
-		w.st.RawRequests++
-		w.st.RawAtomics++
-	case r.Store:
-		w.st.RawRequests++
-		w.st.RawStores++
-	default:
-		w.st.RawRequests++
-		w.st.RawLoads++
-	}
-	return true
-}
-
 // Tick emits at most one mask-group transaction per cycle: it first
 // serves the warp being dispatched, gathering a new warp from the queue
 // when none is active and the scoreboard has a free slot.
 func (w *Warp) Tick(now sim.Cycle) []memreq.Built {
-	if w.heldFence {
-		if w.inflight != 0 {
-			return nil
-		}
-		w.heldFence = false
-	}
-
 	if w.cur == nil {
-		ok, bypass := w.gather()
-		if bypass != nil {
-			return bypass
+		if w.live >= w.cfg.MaxWarps {
+			return nil // scoreboard full: stall until a warp resumes
 		}
+		head, ok := w.head()
 		if !ok {
 			return nil
 		}
+		if head.Atomic {
+			b := w.bypass(head)
+			w.st.TargetsPerTx.Observe(1)
+			return []memreq.Built{b}
+		}
+		w.gather(head.Store)
 	}
 	return w.emitMaskGroup()
 }
 
-// gather forms the next warp from the queue head. It returns ok=true
-// when a warp was gathered into w.cur; a non-nil Built slice means the
-// head was an atomic served by a bypass transaction instead.
-func (w *Warp) gather() (ok bool, bypass []memreq.Built) {
-	if w.live >= w.cfg.MaxWarps {
-		return false, nil // scoreboard full: stall until a warp resumes
-	}
-	head, okPeek := w.q.Peek()
-	if !okPeek {
-		return false, nil
-	}
-	switch {
-	case head.Fence:
-		w.q.Pop()
-		w.heldFence = true
-		return false, nil
-
-	case head.Atomic:
-		w.q.Pop()
-		b := memreq.Built{
-			Req: hmc.Request{
-				Kind: hmc.AtomicOp,
-				Addr: head.Addr &^ uint64(addr.FlitMask),
-				Data: addr.FlitBytes,
-			},
-			Targets: w.takeTargets(memreq.Target{
-				Thread: head.Thread, Tag: head.Tag, Flit: addr.FlitID(head.Addr),
-			}),
-			Bypassed: true,
-		}
-		b.Req.Normalize()
-		w.noteDispatch(&b, 1)
-		return false, []memreq.Built{b}
-	}
-
+// gather forms the next warp from the run of queued requests of the
+// head's kind.
+func (w *Warp) gather(store bool) {
 	ws := w.takeWarp()
-	ws.store = head.Store
+	ws.store = store
 	for len(ws.lanes) < w.cfg.Lanes {
-		r, okNext := w.q.Peek()
-		if !okNext || r.Fence || r.Atomic || r.Store != ws.store {
+		r, ok := w.q.Peek()
+		if !ok || r.Fence || r.Atomic || r.Store != ws.store {
 			break // a warp executes one instruction: same kind only
 		}
 		w.q.Pop()
@@ -252,7 +166,6 @@ func (w *Warp) gather() (ok bool, bypass []memreq.Built) {
 	w.cur = ws
 	w.live++
 	w.st.Warp.WarpsFormed++
-	return true, nil
 }
 
 // emitMaskGroup serves one mask group of the active warp: the leader is
@@ -273,8 +186,8 @@ func (w *Warp) emitMaskGroup() []memreq.Built {
 	}
 	leaderBlock := leader.Addr >> w.blockShift
 	sameAddr := true
-	var targets []memreq.Target
-	end := uint64(0)
+	targets := w.pool.Take()
+	var end uint64
 	for i := range ws.lanes {
 		ln := &ws.lanes[i]
 		if ln.served || ln.req.Addr>>w.blockShift != leaderBlock {
@@ -285,58 +198,35 @@ func (w *Warp) emitMaskGroup() []memreq.Built {
 		}
 		ln.served = true
 		ws.unserved--
-		tgt := memreq.Target{
-			Thread: ln.req.Thread, Tag: ln.req.Tag, Flit: addr.FlitID(ln.req.Addr),
-		}
-		if targets == nil {
-			targets = w.takeTargets(tgt)
-		} else {
-			targets = append(targets, tgt)
-		}
-		if e := ln.req.Addr + uint64(ln.req.Size); e > end {
-			end = e
+		targets = append(targets, target(ln.req))
+		if base, n := ln.req.Span(); base+uint64(n) > end {
+			end = base + uint64(n)
 		}
 	}
 
-	var base uint64
-	var size uint32
+	// The transaction covers every grouped lane's Span. One narrow
+	// access from the shared FLIT serves lanes that all carry the
+	// leader's address; a divergent group fetches the whole lane
+	// block, extended when a lane runs past the block end.
+	base, _ := leader.Span()
+	size := uint32(end - base)
 	if sameAddr {
-		// One narrow access serves every lane: FLIT-align the shared
-		// address, spanning into the next FLIT when the access does.
-		base = leader.Addr &^ uint64(addr.FlitMask)
-		size = uint32(end - base)
-		if size == 0 {
-			size = 1
-		}
 		w.st.Warp.SameAddrTx++
 	} else {
-		// Divergent group: fetch the whole lane block, extended when a
-		// lane's access runs past the block end so every target's FLIT
-		// span is covered.
 		base = leaderBlock << w.blockShift
-		size = w.blockBytes()
-		if over := uint32(end - base); over > size {
-			size = over
-		}
+		size = max(uint32(end-base), w.blockBytes())
 		w.st.Warp.SameBlockTx++
 	}
-	if rem := size % addr.FlitBytes; rem != 0 {
-		size += addr.FlitBytes - rem
-	}
 
-	kind := hmc.Read
-	if ws.store {
-		kind = hmc.Write
-	}
 	b := memreq.Built{
-		Req:     hmc.Request{Kind: kind, Addr: base, Data: size},
+		Req:     hmc.Request{Kind: leader.Kind(), Addr: base, Data: size},
 		Targets: targets,
 		Handle:  ws,
 	}
-	b.Req.Normalize()
 	ws.outstanding++
 	ws.masks++
-	w.noteDispatch(&b, uint64(len(targets)))
+	w.emit(&b)
+	w.st.TargetsPerTx.Observe(uint64(len(targets)))
 	if ws.unserved == 0 {
 		// Every lane covered: the warp suspends awaiting responses.
 		ws.dispatched = true
@@ -347,25 +237,12 @@ func (w *Warp) emitMaskGroup() []memreq.Built {
 	return []memreq.Built{b}
 }
 
-func (w *Warp) noteDispatch(b *memreq.Built, targets uint64) {
-	w.st.Transactions++
-	if b.Bypassed {
-		w.st.Bypassed++
-	}
-	w.st.BuiltBySizeBytes[b.Req.Data]++
-	w.st.TargetsPerTx.Observe(targets)
-	w.inflight++
-}
-
 // Completed signals one transaction done; the last completion of a
 // fully dispatched warp resumes it, freeing the scoreboard slot.
 func (w *Warp) Completed(b *memreq.Built) {
-	if w.inflight == 0 {
-		panic("coalesce: Warp.Completed without matching emission")
-	}
-	w.inflight--
+	w.complete()
 	ws, ok := b.Handle.(*warpState)
-	if !ok || ws == nil {
+	if !ok {
 		return // atomic bypass: no warp attached
 	}
 	if ws.outstanding == 0 {
@@ -381,33 +258,21 @@ func (w *Warp) Completed(b *memreq.Built) {
 // Pending returns queued raw requests plus unserved gathered lanes
 // (including a held fence).
 func (w *Warp) Pending() int {
-	p := w.q.Len()
+	p := w.intake.Pending()
 	if w.cur != nil {
 		p += w.cur.unserved
-	}
-	if w.heldFence {
-		p++
 	}
 	return p
 }
 
-// Inflight returns dispatched transactions not yet completed.
-func (w *Warp) Inflight() int { return w.inflight }
-
-// Stats returns the accumulated statistics.
-func (w *Warp) Stats() *memreq.Stats { return w.st }
-
 // Reset restores the initial empty state (the pools survive).
 func (w *Warp) Reset() {
-	w.q.Reset()
+	w.reset()
 	if w.cur != nil {
 		w.warps = append(w.warps, w.cur)
 		w.cur = nil
 	}
 	w.live = 0
-	w.heldFence = false
-	w.inflight = 0
-	w.st = memreq.NewStats()
 	w.st.Warp = &memreq.WarpStats{}
 }
 

@@ -98,8 +98,8 @@ type Aggregator struct {
 	head  int
 	count int
 
-	// slabs is the free pool of target slices Pop hands out.
-	slabs [][]memreq.Target
+	// pool is the free list of target slices Pop hands out.
+	pool memreq.TargetPool
 
 	// fences counts fence entries currently queued; comparators are
 	// disabled while any fence is present (paper §4.1).
@@ -138,6 +138,7 @@ func NewAggregator(cfg AggregatorConfig) *Aggregator {
 		cfg:  cfg,
 		win:  win,
 		ring: make([]arqEntry, cfg.Entries),
+		pool: memreq.TargetPool{Cap: cfg.MaxTargets},
 	}
 	for i := range a.ring {
 		a.ring[i].targets = make([]memreq.Target, 0, cfg.MaxTargets)
@@ -200,35 +201,13 @@ func (a *Aggregator) clearOpen() {
 	}
 }
 
-// takeSlab copies src into a slab from the free pool (or a fresh
-// allocation when the pool is dry) so a popped entry's targets survive
-// the ring slot's reuse.
-func (a *Aggregator) takeSlab(src []memreq.Target) []memreq.Target {
-	if n := len(a.slabs); n > 0 {
-		s := a.slabs[n-1]
-		a.slabs = a.slabs[:n-1]
-		return append(s, src...)
-	}
-	return append(make([]memreq.Target, 0, a.cfg.MaxTargets), src...)
-}
-
-// RecycleTargets returns a target slab previously handed out by Pop
-// (via memreq.Built.Targets) to the free pool. The caller must not
-// touch the slice afterwards.
-func (a *Aggregator) RecycleTargets(s []memreq.Target) {
-	if cap(s) == 0 {
-		return
-	}
-	a.slabs = append(a.slabs, s[:0])
-}
-
 // popHead removes and returns the head entry, copying its targets out
 // of the slot.
 func (a *Aggregator) popHead() arqEntry {
 	slot := &a.ring[a.head]
 	head := *slot
 	if len(slot.targets) > 0 {
-		head.targets = a.takeSlab(slot.targets)
+		head.targets = append(a.pool.Take(), slot.targets...)
 	} else {
 		head.targets = nil
 	}

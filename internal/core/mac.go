@@ -1,3 +1,19 @@
+// Package core implements MAC, the Memory Access Coalescer of the
+// paper — the primary contribution of the reproduction.
+//
+// A MAC unit sits between a multicore node and a 3D-stacked memory
+// device and consists of (paper §3.2, §4):
+//
+//   - the Raw Request Aggregator: an Aggregated Request Queue (ARQ)
+//     whose entries merge raw requests targeting the same 256B HMC row
+//     and the same request type, tracking requested FLITs in a per-row
+//     FLIT map and buffering response-routing targets;
+//   - the two-stage pipelined Request Builder, which OR-reduces the
+//     FLIT map into four 64B-chunk bits and sizes the emitted HMC
+//     transaction (64/128/256B) through a 16-entry FLIT table;
+//   - the request router (local/global/remote classification, package
+//     router.go) and the response router (part of the node driver,
+//     which owns the outstanding-transaction table).
 package core
 
 import (
@@ -14,8 +30,9 @@ import (
 type Config struct {
 	// ARQ sizes the raw request aggregator.
 	ARQ AggregatorConfig
-	// BypassSize is the payload of a bypassed (B bit) transaction.
-	// The design forwards the raw request directly, i.e. one FLIT.
+	// BypassSize is the least payload of a bypassed (B bit) transaction.
+	// The design forwards the raw request directly, sized by its FLIT
+	// span: one FLIT unless the request crosses a FLIT boundary.
 	BypassSize uint32
 	// FineBuilder switches the request builder to 16B (FLIT)
 	// granularity instead of the paper's 64B chunks — an ablation
@@ -133,19 +150,7 @@ func (m *MAC) Push(r memreq.RawRequest, now sim.Cycle) bool {
 		m.st.PushRejects++
 		return false
 	}
-	switch {
-	case r.Fence:
-		m.st.Fences++
-	case r.Atomic:
-		m.st.RawRequests++
-		m.st.RawAtomics++
-	case r.Store:
-		m.st.RawRequests++
-		m.st.RawStores++
-	default:
-		m.st.RawRequests++
-		m.st.RawLoads++
-	}
+	m.st.CountPush(r)
 	return true
 }
 
@@ -211,32 +216,15 @@ func (m *MAC) Tick(now sim.Cycle) []memreq.Built {
 }
 
 // direct builds the transaction for a bypassed or atomic entry: the
-// raw request is forwarded with its own address at FLIT granularity.
+// raw request is forwarded alone, sized by its FLIT Span (at least
+// BypassSize).
 func (m *MAC) direct(e arqEntry) memreq.Built {
-	r := e.raw
-	kind := hmc.Read
-	switch {
-	case e.atomic:
-		kind = hmc.AtomicOp
-	case r.Store:
-		kind = hmc.Write
-	}
-	// The transaction is FLIT-aligned; an access that starts mid-FLIT
-	// and crosses into the next FLIT needs the span of both.
-	base := r.Addr &^ uint64(addr.FlitMask)
-	span := uint32(r.Addr-base) + uint32(r.Size)
-	if rem := span % addr.FlitBytes; rem != 0 {
-		span += addr.FlitBytes - rem
-	}
-	size := m.cfg.BypassSize
-	if span > size {
-		size = span
-	}
+	base, n := e.raw.Span()
 	return memreq.Built{
 		Req: hmc.Request{
-			Kind: kind,
+			Kind: e.raw.Kind(),
 			Addr: base,
-			Data: size,
+			Data: max(n, m.cfg.BypassSize),
 		},
 		Targets:  e.targets,
 		Bypassed: true,
@@ -253,11 +241,7 @@ func (m *MAC) note(b *memreq.Built) {
 			panic(err)
 		}
 	}
-	m.st.Transactions++
-	if b.Bypassed {
-		m.st.Bypassed++
-	}
-	m.st.BuiltBySizeBytes[b.Req.Data]++
+	m.st.CountBuilt(b)
 	m.st.TargetsPerTx.Observe(uint64(len(b.Targets)))
 	m.inflight++
 	if b.Span != nil {
@@ -281,13 +265,7 @@ func (m *MAC) Completed(*memreq.Built) {
 // a Built (response delivered, every target retired) hands it back so
 // the target slab returns to the ARQ's pool. The Built must not be
 // referenced again afterwards.
-func (m *MAC) Recycle(b *memreq.Built) {
-	if b == nil || b.Targets == nil {
-		return
-	}
-	m.agg.RecycleTargets(b.Targets)
-	b.Targets = nil
-}
+func (m *MAC) Recycle(b *memreq.Built) { m.agg.pool.Recycle(b) }
 
 // Pending returns raw requests accepted but not yet emitted (ARQ
 // occupancy plus builder pipeline contents, counted in entries).

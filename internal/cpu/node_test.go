@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"mac3d/internal/addr"
-	"mac3d/internal/core"
 	"mac3d/internal/hmc"
 	"mac3d/internal/memreq"
 	"mac3d/internal/trace"
@@ -295,49 +294,60 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
-// recycleCounter is the MAC counting the Builts handed back to it.
+// recycleCounter is a coalescer counting the Builts handed back to it
+// before passing them on.
 type recycleCounter struct {
-	*core.MAC
+	memreq.Coalescer
+	rec      memreq.Recycler
 	recycled uint64
 }
 
 func (c *recycleCounter) Recycle(b *memreq.Built) {
 	c.recycled++
-	c.MAC.Recycle(b)
+	c.rec.Recycle(b)
 }
 
-// TestNodeRecyclesDeliveredTransactions: every transaction the node
-// completes, poisoned ones included, hands its target slab back to the
-// coalescer exactly once.
+// TestNodeRecyclesDeliveredTransactions: every frontend takes target
+// slices back, and every transaction the node completes, poisoned ones
+// included, hands its slice back exactly once.
 func TestNodeRecyclesDeliveredTransactions(t *testing.T) {
-	cfg := DefaultRunConfig()
-	cfg.HMC.Faults.CRCErrorRate = 0.3
-	cfg.HMC.Faults.RetryLimit = 1
-	cfg.HMC.Faults.Seed = 5
-	dev, err := hmc.NewDevice(cfg.HMC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mac, err := core.New(cfg.MAC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coal := &recycleCounter{MAC: mac}
-	n, err := NewNode(cfg.Node, coal, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Load(seqTrace(4, 64)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := n.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Responses.Poisoned == 0 {
-		t.Fatal("no poisoned transactions: the fault rate exercises nothing")
-	}
-	if want := res.Responses.Delivered + res.Responses.Poisoned; coal.recycled != want {
-		t.Fatalf("recycled %d transactions, want delivered+poisoned = %d", coal.recycled, want)
+	for _, k := range Kinds() {
+		t.Run(k.String(), func(t *testing.T) {
+			cfg := DefaultRunConfig()
+			cfg.Kind = k
+			cfg.HMC.Faults.CRCErrorRate = 0.3
+			cfg.HMC.Faults.RetryLimit = 1
+			cfg.HMC.Faults.Seed = 5
+			dev, err := hmc.NewDevice(cfg.HMC)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inner, err := cfg.NewCoalescer()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, ok := inner.(memreq.Recycler)
+			if !ok {
+				t.Fatalf("%s does not take target slices back", k)
+			}
+			coal := &recycleCounter{Coalescer: inner, rec: rec}
+			n, err := NewNode(cfg.Node, coal, dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := n.Load(seqTrace(4, 64)); err != nil {
+				t.Fatal(err)
+			}
+			res, err := n.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Responses.Poisoned == 0 {
+				t.Fatal("no poisoned transactions: the fault rate exercises nothing")
+			}
+			if want := res.Responses.Delivered + res.Responses.Poisoned; coal.recycled != want {
+				t.Fatalf("recycled %d transactions, want delivered+poisoned = %d", coal.recycled, want)
+			}
+		})
 	}
 }

@@ -13,6 +13,7 @@ package memreq
 import (
 	"fmt"
 
+	"mac3d/internal/addr"
 	"mac3d/internal/hmc"
 	"mac3d/internal/obs"
 	"mac3d/internal/sim"
@@ -95,6 +96,36 @@ type RawRequest struct {
 	Tag    uint16
 }
 
+// Kind returns the device command that serves r: an atomic
+// read-modify-write, a write or a read.
+func (r RawRequest) Kind() hmc.Kind {
+	switch {
+	case r.Atomic:
+		return hmc.AtomicOp
+	case r.Store:
+		return hmc.Write
+	}
+	return hmc.Read
+}
+
+// Span returns the FLIT-aligned bytes [base, base+n) one request
+// needs: every FLIT from the one holding its first byte through the one
+// holding its last, a zero Size counting as one byte. It is the one
+// sizing rule of every transaction a frontend sends for a lone request,
+// and the floor every coalesced transaction must cover (DESIGN §15).
+func (r RawRequest) Span() (base uint64, n uint32) {
+	size := uint32(r.Size)
+	if size == 0 {
+		size = 1
+	}
+	base = r.Addr &^ uint64(addr.FlitMask)
+	n = uint32(r.Addr-base) + size
+	if rem := n % addr.FlitBytes; rem != 0 {
+		n += addr.FlitBytes - rem
+	}
+	return base, n
+}
+
 // Built is one memory transaction produced by a coalescer, ready for
 // the device. Req.Tag is assigned by the driver that owns the
 // outstanding-transaction table.
@@ -160,6 +191,35 @@ type Coalescer interface {
 // and its Targets slice must not be touched.
 type Recycler interface {
 	Recycle(b *Built)
+}
+
+// TargetPool is the free list of target slices a coalescer hands out
+// in Builts. Its Recycle makes it a Recycler, so a node that returns
+// consumed Builts keeps the build path allocation-free.
+type TargetPool struct {
+	// Cap is the capacity of a freshly allocated slice: the most
+	// targets one transaction of the coalescer carries.
+	Cap   int
+	slabs [][]Target
+}
+
+// Take returns an empty target slice, a recycled one when the pool
+// holds any.
+func (p *TargetPool) Take() []Target {
+	if n := len(p.slabs); n > 0 {
+		s := p.slabs[n-1]
+		p.slabs = p.slabs[:n-1]
+		return s
+	}
+	return make([]Target, 0, p.Cap)
+}
+
+// Recycle returns b's target slice to the pool and clears it.
+func (p *TargetPool) Recycle(b *Built) {
+	if cap(b.Targets) > 0 {
+		p.slabs = append(p.slabs, b.Targets[:0])
+	}
+	b.Targets = nil
 }
 
 // Stats is the measurement set shared by every coalescer design.
@@ -247,6 +307,32 @@ func (s *MemCacheStats) HitRate() float64 {
 // NewStats returns an initialized Stats.
 func NewStats() *Stats {
 	return &Stats{BuiltBySizeBytes: make(map[uint32]uint64)}
+}
+
+// CountPush records one accepted Push: a fence, or a raw request of
+// its kind.
+func (s *Stats) CountPush(r RawRequest) {
+	switch {
+	case r.Fence:
+		s.Fences++
+		return
+	case r.Atomic:
+		s.RawAtomics++
+	case r.Store:
+		s.RawStores++
+	default:
+		s.RawLoads++
+	}
+	s.RawRequests++
+}
+
+// CountBuilt records one emitted transaction.
+func (s *Stats) CountBuilt(b *Built) {
+	s.Transactions++
+	if b.Bypassed {
+		s.Bypassed++
+	}
+	s.BuiltBySizeBytes[b.Req.Data]++
 }
 
 // CoalescingEfficiency returns the paper's headline metric, the

@@ -70,3 +70,45 @@ func TestTargetBytesMatchesPaper(t *testing.T) {
 		t.Fatal("64B entry capacity math broken")
 	}
 }
+
+func TestRawRequestSpan(t *testing.T) {
+	cases := []struct {
+		addr uint64
+		size uint8
+		base uint64
+		n    uint32
+	}{
+		{0x100, 8, 0x100, 16},
+		{0x108, 8, 0x100, 16},  // ends on the FLIT boundary
+		{0x10c, 8, 0x100, 32},  // crosses into the next FLIT
+		{0x10f, 16, 0x100, 32}, // a full FLIT's worth, unaligned
+		{0x13c, 8, 0x130, 32},  // crosses a 64B line end
+		{0x105, 0, 0x100, 16},  // zero size counts as one byte
+	}
+	for _, c := range cases {
+		base, n := RawRequest{Addr: c.addr, Size: c.size}.Span()
+		if base != c.base || n != c.n {
+			t.Errorf("Span(%#x, %d) = [%#x, +%d), want [%#x, +%d)", c.addr, c.size, base, n, c.base, c.n)
+		}
+	}
+}
+
+func TestTargetPoolRecycles(t *testing.T) {
+	p := TargetPool{Cap: 4}
+	b := Built{Targets: append(p.Take(), Target{Tag: 1})}
+	if cap(b.Targets) != 4 {
+		t.Fatalf("fresh slice cap %d, want 4", cap(b.Targets))
+	}
+	first := &b.Targets[0]
+	p.Recycle(&b)
+	if b.Targets != nil {
+		t.Fatal("Recycle left the Built holding its slice")
+	}
+	if s := p.Take(); len(s) != 0 || &s[:1][0] != first {
+		t.Fatal("Take did not hand back the recycled slice, emptied")
+	}
+	p.Recycle(&Built{}) // a zero-target Built has nothing to return
+	if s := p.Take(); cap(s) != 4 {
+		t.Fatal("zero-target Recycle pooled a slice")
+	}
+}

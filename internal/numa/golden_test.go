@@ -355,7 +355,7 @@ func TestGoldenKinds(t *testing.T) {
 	runCaptures(t, []capture{
 		{"mac", kind(cpu.WithMAC), mix, 1432, 293, 345622, 400, 594, 594, 0, 0},
 		{"raw", kind(cpu.WithoutMAC), mix, 1412, 293, 341457, 400, 586, 586, 0, 0},
-		{"mshr", kind(cpu.WithMSHR), mix, 1724, 293, 386085, 400, 586, 586, 0, 0},
+		{"mshr", kind(cpu.WithMSHR), mix, 1724, 293, 386069, 400, 586, 586, 0, 0},
 		{"warp", kind(cpu.WithWarp), mix, 4016, 293, 821542, 400, 586, 586, 0, 0},
 		{"memcache", kind(cpu.WithMemCache), mix, 1890, 293, 390626, 400, 586, 586, 0, 0},
 	})

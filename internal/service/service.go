@@ -183,6 +183,10 @@ type Service struct {
 
 	// run executes one spec; tests substitute a fake and chaos wraps.
 	run RunFunc
+	// beforeWait, when set, runs on the worker after it starts a job's
+	// run and before it waits for the result or a cancel; tests use it
+	// to make both ready at once.
+	beforeWait func(ctx context.Context, id string, result chan runOutcome)
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -540,6 +544,12 @@ func (s *Service) worker() {
 	}
 }
 
+// runOutcome is what one spec run returns.
+type runOutcome struct {
+	data []byte
+	err  error
+}
+
 func (s *Service) runJob(j *job) {
 	s.mu.Lock()
 	if j.state != StateQueued {
@@ -577,43 +587,45 @@ func (s *Service) runJob(j *job) {
 		}
 	}
 
-	type outcome struct {
-		data []byte
-		err  error
-	}
-	ch := make(chan outcome, 1)
+	ch := make(chan runOutcome, 1)
 	go func() {
 		data, err := s.run(j.spec)
-		ch <- outcome{data, err}
+		ch <- runOutcome{data, err}
 	}()
+	if s.beforeWait != nil {
+		s.beforeWait(ctx, j.id, ch)
+	}
+	var o runOutcome
 	select {
-	case o := <-ch:
-		switch {
-		case errors.Is(o.err, ErrWorkerKilled):
-			// Chaos killed this worker mid-run: leave the job exactly
-			// as a crash would — running, un-finalized, no terminal
-			// journal record. Only a restart's replay re-queues it.
-			s.mu.Lock()
-			s.nKilled++
-			s.mu.Unlock()
-		case o.err != nil:
-			s.finalize(j, StateFailed, nil, o.err.Error())
-		default:
-			s.finalize(j, StateDone, o.data, "")
-		}
+	case o = <-ch:
 	case <-ctx.Done():
 		// The simulation goroutine cannot be interrupted mid-cycle;
 		// it finishes in the background and its result is discarded
 		// (the buffered channel lets it exit). The worker moves on.
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			s.mu.Lock()
-			s.nTimeout++
-			s.mu.Unlock()
-			s.finalize(j, StateFailed, nil,
-				fmt.Sprintf("service: job exceeded the %s timeout", s.cfg.JobTimeout))
-		} else {
-			s.finalize(j, StateCanceled, nil, "service: job canceled")
-		}
+	}
+	// A cancel or deadline decides the outcome even when the result is
+	// ready too: select picks at random between ready cases, and an
+	// accepted cancel must end the job canceled.
+	switch {
+	case errors.Is(o.err, ErrWorkerKilled):
+		// Chaos killed this worker mid-run: leave the job exactly as a
+		// crash would — running, un-finalized, no terminal journal
+		// record. Only a restart's replay re-queues it.
+		s.mu.Lock()
+		s.nKilled++
+		s.mu.Unlock()
+	case errors.Is(ctx.Err(), context.DeadlineExceeded):
+		s.mu.Lock()
+		s.nTimeout++
+		s.mu.Unlock()
+		s.finalize(j, StateFailed, nil,
+			fmt.Sprintf("service: job exceeded the %s timeout", s.cfg.JobTimeout))
+	case ctx.Err() != nil:
+		s.finalize(j, StateCanceled, nil, "service: job canceled")
+	case o.err != nil:
+		s.finalize(j, StateFailed, nil, o.err.Error())
+	default:
+		s.finalize(j, StateDone, o.data, "")
 	}
 	s.mu.Lock()
 	s.busy--

@@ -312,6 +312,52 @@ func TestJobTimeout(t *testing.T) {
 	}
 }
 
+// TestReadyCancelBeatsReadyResult: when a run's result and its cancel
+// (or deadline) are both ready before the worker waits, the job ends
+// canceled (or timed out), never done. The hook holds the worker until
+// both are ready, so a wait that picks between them at random fails
+// about half of the jobs.
+func TestReadyCancelBeatsReadyResult(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration
+		want    State
+	}{
+		{"cancel", 0, StateCanceled},
+		{"timeout", time.Millisecond, StateFailed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(Spec) ([]byte, error) { return []byte(`{}`), nil }
+			s := newTestService(t, Config{Workers: 1, JobTimeout: tc.timeout}, run)
+			s.beforeWait = func(ctx context.Context, id string, result chan runOutcome) {
+				o := <-result
+				if tc.timeout == 0 {
+					if ok, err := s.Cancel(id); err != nil || !ok {
+						t.Errorf("Cancel: ok=%v err=%v", ok, err)
+					}
+				}
+				<-ctx.Done()
+				result <- o
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			for i := 1; i <= 32; i++ {
+				st, err := s.Submit(mustSpec(t, runSpec(i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				final, err := s.Wait(ctx, st.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if final.State != tc.want {
+					t.Fatalf("job %d: state = %s, want %s", i, final.State, tc.want)
+				}
+			}
+		})
+	}
+}
+
 func TestFailedJobReportsError(t *testing.T) {
 	run := func(Spec) ([]byte, error) { return nil, errors.New("boom") }
 	s := newTestService(t, Config{Workers: 1}, run)
