@@ -140,6 +140,12 @@ func run(addr string, cfg service.Config, profile svcchaos.Profile, drainWait ti
 	}
 	srv := &http.Server{Handler: handler}
 
+	// Catch signals before announcing the address: a caller that
+	// signals as soon as it reads the listen line must get a drain,
+	// not the default handler's abrupt exit.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	// The parseable start lines: tests and scripts read the bound
 	// address (port 0 resolves to a real port) and, when journaling,
 	// the replay outcome from here. The listen line always comes first.
@@ -153,9 +159,6 @@ func run(addr string, cfg service.Config, profile svcchaos.Profile, drainWait ti
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		return err
@@ -196,14 +199,13 @@ func runRouter(addr, spec string) error {
 	}
 	srv := &http.Server{Handler: cluster.Handler(r)}
 
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	fmt.Printf("macd: listening on %s\n", ln.Addr())
 	fmt.Printf("macd: cluster router over %d shards\n", len(cfg.Shards))
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		return err

@@ -16,12 +16,19 @@
 //	       [-frontend ...] [-cube ...] [-chaos-profile ...] [-retry ...]
 //	macsim -list
 //
+// Every option flag binds directly to a field of one mac3d.RunOptions
+// (-numa and -numa-topology to the NUMA options), so a flag value
+// reaches the simulator through the same validation as a library call
+// or a macd job spec: an out-of-range value such as -obs-interval -5 is
+// refused, never silently adjusted.
+//
 // -numa switches to the multi-node system: one MAC and HMC device per
 // node behind the selected interconnect, each node configured by the
 // same flags as a single-node run. Flags without a multi-node meaning
 // (-in, -compare, -arq, -audit and the observability outputs) are
-// refused with exit status 2. The printed report is deterministic, so
-// two invocations can be compared byte-for-byte.
+// refused with exit status 2, as are a negative -numa and
+// -numa-topology without -numa. The printed report is deterministic,
+// so two invocations can be compared byte-for-byte.
 //
 // A run with -audit prints the request-lifecycle conservation report
 // and exits non-zero if any invariant was violated. -chaos-profile
@@ -41,28 +48,31 @@ import (
 )
 
 func main() {
-	workload := flag.String("workload", "", "benchmark to run (see -list)")
+	var opts mac3d.RunOptions
+	var numa mac3d.NUMAOptions
+	var fabric mac3d.NoCOptions
+	flag.StringVar(&opts.Workload, "workload", "", "benchmark to run (see -list)")
 	traceFile := flag.String("in", "", "replay a binary trace file (from tracegen) instead of a benchmark")
-	threads := flag.Int("threads", 8, "hardware threads")
-	scaleFlag := flag.String("scale", "tiny", "input scale: tiny, small or ref")
-	designFlag := flag.String("design", "mac", "memory path: mac, raw, mshr, warp or memcache")
-	frontendFlag := flag.String("frontend", "", "frontend tuning key=value list (lanes, warps, split, cache, line, ways)")
+	flag.IntVar(&opts.Threads, "threads", 8, "hardware threads")
+	flag.TextVar(&opts.Scale, "scale", mac3d.ScaleTiny, "input scale: tiny, small or ref")
+	flag.TextVar(&opts.Design, "design", mac3d.DesignMAC, "memory path: mac, raw, mshr, warp or memcache")
+	flag.StringVar(&opts.Frontend, "frontend", "", "frontend tuning key=value list (lanes, warps, split, cache, line, ways)")
 	compare := flag.Bool("compare", false, "run with and without MAC and report the deltas")
-	arq := flag.Int("arq", 0, "override ARQ entries (default 32)")
-	seed := flag.Uint64("seed", 1, "deterministic seed")
+	flag.IntVar(&opts.ARQEntries, "arq", 0, "override ARQ entries (default 32)")
+	flag.Uint64Var(&opts.Seed, "seed", 1, "deterministic seed")
 	list := flag.Bool("list", false, "list available workloads and exit")
 	metricsOut := flag.String("metrics-out", "", "write the end-of-run metric registry to this file")
 	timeseriesOut := flag.String("timeseries-out", "", "write cycle-sampled timeseries CSV to this file")
 	traceOut := flag.String("trace-out", "", "write Chrome trace-event JSON (chrome://tracing, Perfetto) to this file")
-	obsInterval := flag.Int("obs-interval", 64, "timeseries sampling interval in cycles")
-	auditFlag := flag.Bool("audit", false, "enable the request-lifecycle conservation ledger; exit 1 on violations")
-	cubeFlag := flag.String("cube", "", "cube-internal fabric config: TOPOLOGY[,key=value...] (ideal, ring or mesh; page=closed|open, quad=N, hop/bw/buf/inject/cols)")
-	chaosProfile := flag.String("chaos-profile", "", "chaos profile: preset (mild, storm) or stressor list (delay=0.01:16:32,reorder=0.1,...)")
-	chaosSeed := flag.Uint64("chaos-seed", 0, "override the chaos RNG seed (0 keeps the profile's seed)")
-	retryFlag := flag.Int("retry", 0, "re-issue poisoned completions up to this many times per request")
-	retryBackoff := flag.Int64("retry-backoff", 0, "cycles to wait before each re-issue")
-	numaNodes := flag.Int("numa", 0, "run the multi-node system with this many nodes (0: single node)")
-	numaTopo := flag.String("numa-topology", "", "NUMA interconnect: ideal, ring or mesh (default ideal)")
+	flag.IntVar(&opts.Observe.SampleInterval, "obs-interval", 64, "timeseries sampling interval in cycles")
+	flag.BoolVar(&opts.Audit, "audit", false, "enable the request-lifecycle conservation ledger; exit 1 on violations")
+	flag.StringVar(&opts.Cube, "cube", "", "cube-internal fabric config: TOPOLOGY[,key=value...] (ideal, ring or mesh; page=closed|open, quad=N, hop/bw/buf/inject/cols)")
+	flag.StringVar(&opts.Chaos.Profile, "chaos-profile", "", "chaos profile: preset (mild, storm) or stressor list (delay=0.01:16:32,reorder=0.1,...)")
+	flag.Uint64Var(&opts.Chaos.Seed, "chaos-seed", 0, "override the chaos RNG seed (0 keeps the profile's seed)")
+	flag.IntVar(&opts.Retry.MaxRetries, "retry", 0, "re-issue poisoned completions up to this many times per request")
+	flag.Int64Var(&opts.Retry.BackoffCycles, "retry-backoff", 0, "cycles to wait before each re-issue")
+	flag.IntVar(&numa.Nodes, "numa", 0, "run the multi-node system with this many nodes (0: single node)")
+	flag.StringVar(&fabric.Topology, "numa-topology", "", "NUMA interconnect: ideal, ring or mesh (default ideal)")
 	flag.Parse()
 
 	if *list {
@@ -73,33 +83,20 @@ func main() {
 		}
 		return
 	}
-	if *workload == "" && *traceFile == "" {
+	if opts.Workload == "" && *traceFile == "" {
 		fmt.Fprintln(os.Stderr, "macsim: -workload or -in is required (try -list)")
 		os.Exit(2)
 	}
-
-	opts := mac3d.RunOptions{
-		Workload:   *workload,
-		Threads:    *threads,
-		Seed:       *seed,
-		Frontend:   *frontendFlag,
-		ARQEntries: *arq,
-		Cube:       *cubeFlag,
-		Audit:      *auditFlag,
-		Chaos:      mac3d.ChaosOptions{Profile: *chaosProfile, Seed: *chaosSeed},
-		Retry:      mac3d.RetryOptions{MaxRetries: *retryFlag, BackoffCycles: *retryBackoff},
-	}
-	var err error
-	if opts.Scale, err = mac3d.ParseScale(*scaleFlag); err != nil {
-		fmt.Fprintln(os.Stderr, "macsim:", err)
+	switch {
+	case numa.Nodes < 0:
+		fmt.Fprintf(os.Stderr, "macsim: -numa %d is negative; give a node count, or drop -numa for a single node\n", numa.Nodes)
 		os.Exit(2)
-	}
-	if opts.Design, err = mac3d.ParseDesign(*designFlag); err != nil {
-		fmt.Fprintln(os.Stderr, "macsim:", err)
+	case numa.Nodes == 0 && fabric.Topology != "":
+		fmt.Fprintln(os.Stderr, "macsim: -numa-topology applies to multi-node runs only; add -numa or drop it")
 		os.Exit(2)
 	}
 
-	if *numaNodes > 0 {
+	if numa.Nodes > 0 {
 		// The multi-node system has no counterpart for these: refuse
 		// them by name rather than silently dropping them.
 		flag.Visit(func(f *flag.Flag) {
@@ -109,22 +106,19 @@ func main() {
 				os.Exit(2)
 			}
 		})
-		nopts := mac3d.NUMAOptions{
-			Workload: opts.Workload,
-			Threads:  opts.Threads,
-			Seed:     opts.Seed,
-			Scale:    opts.Scale,
-			Design:   opts.Design,
-			Frontend: opts.Frontend,
-			Nodes:    *numaNodes,
-			Cube:     opts.Cube,
-			Chaos:    opts.Chaos,
-			Retry:    opts.Retry,
+		numa.Workload = opts.Workload
+		numa.Threads = opts.Threads
+		numa.Seed = opts.Seed
+		numa.Scale = opts.Scale
+		numa.Design = opts.Design
+		numa.Frontend = opts.Frontend
+		numa.Cube = opts.Cube
+		numa.Chaos = opts.Chaos
+		numa.Retry = opts.Retry
+		if fabric.Topology != "" {
+			numa.NoC = &fabric
 		}
-		if *numaTopo != "" {
-			nopts.NoC = &mac3d.NoCOptions{Topology: *numaTopo}
-		}
-		rep, err := mac3d.RunNUMA(nopts)
+		rep, err := mac3d.RunNUMA(numa)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "macsim:", err)
 			os.Exit(1)
@@ -138,11 +132,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "macsim: observability flags need a single run; drop -compare")
 			os.Exit(2)
 		}
-		opts.Observe = mac3d.ObserveOptions{
-			Enabled:        true,
-			SampleInterval: *obsInterval,
-			Trace:          *traceOut != "",
-		}
+		opts.Observe.Enabled = true
+		opts.Observe.Trace = *traceOut != ""
 	}
 	writeObs := func(r *mac3d.RunReport) {
 		if r.Observability == nil {
@@ -223,7 +214,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "macsim:", err)
 		os.Exit(1)
 	}
-	printRun(fmt.Sprintf("%s (%s)", *workload, rep.Design), rep)
+	printRun(fmt.Sprintf("%s (%s)", opts.Workload, rep.Design), rep)
 	writeObs(rep)
 	exitOnViolations(rep)
 }

@@ -151,5 +151,33 @@ func TestMacsimSmoke(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, "m.txt")); err == nil {
 			t.Error("refused -numa run still wrote -metrics-out")
 		}
+		// Dropping a NUMA flag would silently run a single node: a
+		// negative -numa and -numa-topology without -numa are refused
+		// by name too.
+		for _, c := range []struct {
+			args []string
+			flag string
+		}{
+			{[]string{"-workload", "sg", "-numa", "-3"}, "-numa"},
+			{[]string{"-workload", "sg", "-numa-topology", "mesh"}, "-numa-topology"},
+		} {
+			out, err := exec.Command(bin, c.args...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Errorf("macsim %v: err %v, want exit status 2", c.args, err)
+			}
+			if !strings.Contains(string(out), c.flag) {
+				t.Errorf("macsim %v: message does not name %s:\n%s", c.args, c.flag, out)
+			}
+		}
+		// Flag values take the library's validation: a negative
+		// sampling interval fails the run before any output is written.
+		series := filepath.Join(dir, "neg.csv")
+		if out, err := exec.Command(bin, "-workload", "sg", "-obs-interval", "-5", "-timeseries-out", series).CombinedOutput(); err == nil {
+			t.Errorf("macsim -obs-interval -5 succeeded, want failure:\n%s", out)
+		}
+		if _, err := os.Stat(series); err == nil {
+			t.Error("refused -obs-interval -5 run still wrote -timeseries-out")
+		}
 	})
 }

@@ -89,72 +89,58 @@ func (b *TraceBuilder) Work(tid int, n int) {
 // Events returns the number of recorded trace events.
 func (b *TraceBuilder) Events() int { return b.ctx.Trace().Len() }
 
-func (b *TraceBuilder) trace() *trace.Trace { return b.ctx.Trace() }
-
 // RunTrace executes a custom trace under the selected design. The
 // Workload and Scale fields of opts are ignored; Threads must be able
 // to hold the builder's threads (it defaults to the builder's count).
 func RunTrace(opts RunOptions, b *TraceBuilder) (*RunReport, error) {
-	if b == nil {
-		return nil, fmt.Errorf("mac3d: nil TraceBuilder")
+	src, err := b.source()
+	if err != nil {
+		return nil, err
 	}
-	opts = opts.withDefaults()
-	if opts.Workload == "" {
-		opts.Workload = "custom"
-	}
-	if opts.Threads < b.Threads() {
-		opts.Threads = b.Threads()
-	}
-	return runTrace(opts, b.trace())
+	return run(opts, src)
 }
 
 // CompareTrace executes a custom trace with and without the MAC.
 func CompareTrace(opts RunOptions, b *TraceBuilder) (*CompareReport, error) {
+	src, err := b.source()
+	if err != nil {
+		return nil, err
+	}
+	return compare(opts, src)
+}
+
+func (b *TraceBuilder) source() (source, error) {
 	if b == nil {
-		return nil, fmt.Errorf("mac3d: nil TraceBuilder")
+		return source{}, fmt.Errorf("mac3d: nil TraceBuilder")
 	}
-	opts = opts.withDefaults()
-	if opts.Workload == "" {
-		opts.Workload = "custom"
-	}
-	if opts.Threads < b.Threads() {
-		opts.Threads = b.Threads()
-	}
-	return compareTrace(opts, b.trace())
+	return source{tr: b.ctx.Trace(), label: "custom", threads: b.Threads()}, nil
 }
 
 // RunTraceFile replays a binary trace file (written by cmd/tracegen or
 // trace.Writer) through the simulator.
 func RunTraceFile(opts RunOptions, r io.Reader) (*RunReport, error) {
-	tr, err := trace.NewReader(r).ReadTrace()
+	src, err := readSource(r)
 	if err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
-	if opts.Workload == "" {
-		opts.Workload = "tracefile"
-	}
-	active := 0
-	for _, th := range tr.Threads {
-		if len(th) > 0 {
-			active++
-		}
-	}
-	if opts.Threads < active {
-		opts.Threads = active
-	}
-	return runTrace(opts, tr)
+	return run(opts, src)
 }
 
 // CompareTraceFile replays a binary trace file with and without MAC.
 func CompareTraceFile(opts RunOptions, r io.Reader) (*CompareReport, error) {
-	tr, err := trace.NewReader(r).ReadTrace()
+	src, err := readSource(r)
 	if err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
-	if opts.Workload == "" {
-		opts.Workload = "tracefile"
+	return compare(opts, src)
+}
+
+// readSource reads a binary trace; it needs one thread per non-empty
+// thread stream.
+func readSource(r io.Reader) (source, error) {
+	tr, err := trace.NewReader(r).ReadTrace()
+	if err != nil {
+		return source{}, err
 	}
 	active := 0
 	for _, th := range tr.Threads {
@@ -162,8 +148,5 @@ func CompareTraceFile(opts RunOptions, r io.Reader) (*CompareReport, error) {
 			active++
 		}
 	}
-	if opts.Threads < active {
-		opts.Threads = active
-	}
-	return compareTrace(opts, tr)
+	return source{tr: tr, label: "tracefile", threads: active}, nil
 }

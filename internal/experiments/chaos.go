@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"mac3d/internal/chaos"
+	"mac3d/internal/hmc"
 	"mac3d/internal/memreq"
+	"mac3d/internal/noc"
 	"mac3d/internal/stats"
 )
 
@@ -47,11 +49,11 @@ func (s *Suite) AblationChaos() (*stats.Table, error) {
 	const crcRate = 1e-3
 	cubes := []struct {
 		label   string
-		cube    string
+		cube    hmc.CubeConfig
 		profile chaos.Profile
 	}{
-		{"ideal", "", chaosSweepProfile()},
-		{"ring", "ring", chaosCubeProfile()},
+		{"ideal", hmc.CubeConfig{}, chaosSweepProfile()},
+		{"ring", hmc.CubeConfig{Topology: noc.Ring}.WithDefaults(), chaosCubeProfile()},
 	}
 
 	t := stats.NewTable("Ablation: chaos sweep (audited conservation under adversity)",

@@ -58,7 +58,7 @@ func (s *Suite) AblationCoalescer() (*stats.Table, error) {
 	}
 	for _, name := range s.arenaSet() {
 		for i, k := range kinds {
-			res, err := s.run(runKey{name: name, threads: 8, kind: k})
+			res, err := s.run(name, 8, design(k))
 			if err != nil {
 				return nil, err
 			}

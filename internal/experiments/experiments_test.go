@@ -46,6 +46,35 @@ func TestSuiteCachesRuns(t *testing.T) {
 	}
 }
 
+// TestSuiteSharesIdenticalMachines checks that runs are keyed by the
+// machine, not by the accessor that spelled it: the default ARQ depth
+// and the default window are the plain MAC run.
+func TestSuiteSharesIdenticalMachines(t *testing.T) {
+	s := testSuite()
+	mac, err := s.MAC("sg", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arq, err := s.MACWithARQ("sg", 8, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window, err := s.MACWithWindow("sg", 8, 256, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if arq != mac || window != mac {
+		t.Fatal("identical machines simulated more than once")
+	}
+	deep, err := s.MACWithARQ("sg", 8, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deep == mac {
+		t.Fatal("a deeper ARQ shared the default run")
+	}
+}
+
 func TestSuiteUnknownBenchmark(t *testing.T) {
 	s := NewSuite(Options{Scale: workloads.Tiny, Benchmarks: []string{"nope"}})
 	if _, err := s.MAC("nope", 8); err == nil {

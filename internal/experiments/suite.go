@@ -5,7 +5,7 @@
 //
 // Runs are cached inside a Suite: Figures 10–15 and 17 share the same
 // underlying simulations, so the whole paper regenerates with one
-// timed run per (benchmark, threads, design, ARQ size) combination.
+// timed run per (benchmark, threads, machine configuration).
 package experiments
 
 import (
@@ -17,7 +17,6 @@ import (
 	"mac3d/internal/cpu"
 	"mac3d/internal/hmc"
 	"mac3d/internal/memreq"
-	"mac3d/internal/sim"
 	"mac3d/internal/trace"
 	"mac3d/internal/workloads"
 )
@@ -64,16 +63,10 @@ func (o Options) withDefaults() Options {
 // methods are safe for concurrent use; Prefetch exploits that to run
 // a campaign's simulations in parallel.
 type Suite struct {
-	opts Options
-
-	mu     sync.Mutex
+	opts   Options
 	sem    chan struct{}
-	traces map[traceKey]*trace.Trace
-	// traceGen deduplicates concurrent generation of one trace.
-	traceGen map[traceKey]*sync.Once
-	runs     map[runKey]*cpu.Result
-	runGen   map[runKey]*sync.Once
-	errs     map[string]error
+	traces memo[traceKey, *trace.Trace]
+	runs   memo[runKey, *cpu.Result]
 }
 
 type traceKey struct {
@@ -81,41 +74,47 @@ type traceKey struct {
 	threads int
 }
 
+// runKey identifies one timed simulation: a benchmark's trace and the
+// machine it runs on. cpu.RunConfig is comparable, so accessors that
+// describe one machine in different words share one simulation.
 type runKey struct {
 	name    string
 	threads int
-	kind    cpu.CoalescerKind
-	arq     int // 0 = default (32)
-	lsq     int // 0 = default
-	fillOff bool
-	hbm     bool    // device profile: HMC (default) or HBM (§4.3)
-	window  uint32  // coalescing window bytes; 0 = 256
-	fine    bool    // 16B-floor builder ablation
-	crc     float64 // link CRC error rate; 0 = faults disabled
-	// Chaos/audit/retry dimensions (abl-chaos). The profile is keyed
-	// by its canonical String() so equivalent spellings share a run.
-	chaos      string // canonical chaos profile; "" = disabled
-	chaosSeed  uint64 // chaos RNG seed override; 0 = profile default
-	audit      bool   // request-lifecycle conservation ledger
-	maxRetries int    // poisoned-completion re-issue budget
-	backoff    int64  // cycles between re-issues
-	// Cube-internal fabric config, keyed by its canonical rendering
-	// (hmc.CubeConfig.String()); "" = the default ideal crossbar.
-	cube string
+	cfg     cpu.RunConfig
+}
+
+// memo computes at most one value per key. Concurrent callers of a key
+// share one computation, and an error is cached like a value.
+type memo[K comparable, V any] struct {
+	mu    sync.Mutex
+	cells map[K]*memoCell[V]
+}
+
+type memoCell[V any] struct {
+	once sync.Once
+	v    V
+	err  error
+}
+
+func (m *memo[K, V]) get(k K, compute func() (V, error)) (V, error) {
+	m.mu.Lock()
+	if m.cells == nil {
+		m.cells = make(map[K]*memoCell[V])
+	}
+	c, ok := m.cells[k]
+	if !ok {
+		c = new(memoCell[V])
+		m.cells[k] = c
+	}
+	m.mu.Unlock()
+	c.once.Do(func() { c.v, c.err = compute() })
+	return c.v, c.err
 }
 
 // NewSuite builds a suite for opts.
 func NewSuite(opts Options) *Suite {
 	o := opts.withDefaults()
-	return &Suite{
-		opts:     o,
-		sem:      make(chan struct{}, o.Parallel),
-		traces:   make(map[traceKey]*trace.Trace),
-		traceGen: make(map[traceKey]*sync.Once),
-		runs:     make(map[runKey]*cpu.Result),
-		runGen:   make(map[runKey]*sync.Once),
-		errs:     make(map[string]error),
-	}
+	return &Suite{opts: o, sem: make(chan struct{}, o.Parallel)}
 }
 
 // Options returns the effective options.
@@ -130,145 +129,33 @@ func (s *Suite) progress(format string, args ...any) {
 // Trace returns (generating and caching on demand) the trace of one
 // benchmark at the given thread count.
 func (s *Suite) Trace(name string, threads int) (*trace.Trace, error) {
-	k := traceKey{name, threads}
-	s.mu.Lock()
-	if tr, ok := s.traces[k]; ok {
-		s.mu.Unlock()
-		return tr, nil
-	}
-	once, ok := s.traceGen[k]
-	if !ok {
-		once = new(sync.Once)
-		s.traceGen[k] = once
-	}
-	s.mu.Unlock()
-
-	errKey := fmt.Sprintf("trace/%s/%d", name, threads)
-	once.Do(func() {
+	return s.traces.get(traceKey{name, threads}, func() (*trace.Trace, error) {
 		s.progress("generating %s trace (%d threads, %s)", name, threads, s.opts.Scale)
-		tr, err := workloads.Generate(name, workloads.Config{
+		return workloads.Generate(name, workloads.Config{
 			Threads: threads, Seed: s.opts.Seed, Scale: s.opts.Scale,
 		})
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if err != nil {
-			s.errs[errKey] = err
-			return
-		}
-		s.traces[k] = tr
 	})
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if tr, ok := s.traces[k]; ok {
-		return tr, nil
-	}
-	return nil, s.errs[errKey]
 }
 
-// run executes (and caches) one timed simulation. Concurrent callers
-// requesting the same key share one execution; distinct keys run in
-// parallel, bounded by Options.Parallel.
-func (s *Suite) run(k runKey) (*cpu.Result, error) {
-	s.mu.Lock()
-	if res, ok := s.runs[k]; ok {
-		s.mu.Unlock()
-		return res, nil
-	}
-	once, ok := s.runGen[k]
-	if !ok {
-		once = new(sync.Once)
-		s.runGen[k] = once
-	}
-	s.mu.Unlock()
-
-	errKey := fmt.Sprintf("run/%v", k)
-	once.Do(func() {
-		tr, err := s.Trace(k.name, k.threads)
+// run executes (and caches) one timed simulation of a benchmark on the
+// machine cfg describes. Concurrent callers requesting the same run
+// share one execution; distinct runs execute in parallel, bounded by
+// Options.Parallel.
+func (s *Suite) run(name string, threads int, cfg cpu.RunConfig) (*cpu.Result, error) {
+	return s.runs.get(runKey{name, threads, cfg}, func() (*cpu.Result, error) {
+		tr, err := s.Trace(name, threads)
 		if err != nil {
-			s.mu.Lock()
-			s.errs[errKey] = err
-			s.mu.Unlock()
-			return
-		}
-		cfg := cpu.DefaultRunConfig()
-		cfg.Kind = k.kind
-		if k.arq != 0 {
-			cfg.MAC.ARQ.Entries = k.arq
-		}
-		if k.lsq != 0 {
-			cfg.Node.MaxOutstanding = k.lsq
-		}
-		if k.fillOff {
-			cfg.MAC.ARQ.FillMode = false
-		}
-		if k.hbm {
-			cfg.HMC = hmc.HBMConfig()
-		}
-		if k.fine {
-			cfg.MAC.FineBuilder = true
-		}
-		if k.crc != 0 {
-			cfg.HMC.Faults.CRCErrorRate = k.crc
-			cfg.HMC.Faults.Seed = s.opts.Seed
-		}
-		if k.chaos != "" {
-			profile, perr := chaos.ParseProfile(k.chaos)
-			if perr != nil {
-				s.mu.Lock()
-				s.errs[errKey] = fmt.Errorf("%s: chaos profile: %w", k.name, perr)
-				s.mu.Unlock()
-				return
-			}
-			if k.chaosSeed != 0 {
-				profile.Seed = k.chaosSeed
-			}
-			cfg.Chaos = profile
-		}
-		if k.cube != "" {
-			cube, cerr := hmc.ParseCubeConfig(k.cube)
-			if cerr != nil {
-				s.mu.Lock()
-				s.errs[errKey] = fmt.Errorf("%s: cube config: %w", k.name, cerr)
-				s.mu.Unlock()
-				return
-			}
-			cfg.HMC.Cube = cube
-		}
-		cfg.Audit = k.audit
-		if k.maxRetries != 0 {
-			cfg.Retry = memreq.RetryPolicy{
-				MaxRetries: k.maxRetries,
-				Backoff:    sim.Cycle(k.backoff),
-			}
-		}
-		if k.window != 0 {
-			cfg.MAC.ARQ.WindowBytes = k.window
-			// A wider window merges more raw requests per
-			// entry; scale the entry's target buffer with the
-			// window so the study isolates the window effect (a
-			// 1KB window entry is a 4x larger hardware entry).
-			cfg.MAC.ARQ.MaxTargets = 12 * int(k.window) / 256
+			return nil, err
 		}
 		s.sem <- struct{}{}
 		defer func() { <-s.sem }()
-		s.progress("simulating %s (%d threads, %s, arq=%d)", k.name, k.threads, k.kind, cfg.MAC.ARQ.Entries)
+		s.progress("simulating %s (%d threads, %s, arq=%d)", name, threads, cfg.Kind, cfg.MAC.ARQ.Entries)
 		res, err := cpu.Run(cfg, tr)
-		s.mu.Lock()
-		defer s.mu.Unlock()
 		if err != nil {
-			s.errs[errKey] = fmt.Errorf("%s/%s: %w", k.name, k.kind, err)
-			return
+			return nil, fmt.Errorf("%s/%s: %w", name, cfg.Kind, err)
 		}
-		s.runs[k] = res
-	})
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if res, ok := s.runs[k]; ok {
 		return res, nil
-	}
-	return nil, s.errs[errKey]
+	})
 }
 
 // Prefetch executes the standard with/without-MAC runs of every
@@ -301,107 +188,124 @@ func (s *Suite) Prefetch() error {
 	return firstErr
 }
 
+// Each accessor below edits the paper's Table 1 machine
+// (cpu.DefaultRunConfig, with MAC) into the one its study needs.
+
+// design returns the Table 1 machine with the given frontend.
+func design(k cpu.CoalescerKind) cpu.RunConfig {
+	cfg := cpu.DefaultRunConfig()
+	cfg.Kind = k
+	return cfg
+}
+
+// onHBM returns cfg on the HBM device profile (§4.3: same coalescer,
+// 1KB rows, 32B minimum bursts).
+func onHBM(cfg cpu.RunConfig) cpu.RunConfig {
+	cfg.HMC = hmc.HBMConfig()
+	return cfg
+}
+
 // MAC returns the with-MAC run of a benchmark.
 func (s *Suite) MAC(name string, threads int) (*cpu.Result, error) {
-	return s.run(runKey{name: name, threads: threads, kind: cpu.WithMAC})
+	return s.run(name, threads, design(cpu.WithMAC))
 }
 
 // Raw returns the without-MAC run of a benchmark.
 func (s *Suite) Raw(name string, threads int) (*cpu.Result, error) {
-	return s.run(runKey{name: name, threads: threads, kind: cpu.WithoutMAC})
+	return s.run(name, threads, design(cpu.WithoutMAC))
 }
 
 // MSHR returns the conventional-coalescer run of a benchmark.
 func (s *Suite) MSHR(name string, threads int) (*cpu.Result, error) {
-	return s.run(runKey{name: name, threads: threads, kind: cpu.WithMSHR})
-}
-
-// Warp returns the SIMT warp-lane coalescer run of a benchmark.
-func (s *Suite) Warp(name string, threads int) (*cpu.Result, error) {
-	return s.run(runKey{name: name, threads: threads, kind: cpu.WithWarp})
-}
-
-// MemCache returns the die-stacked memory-side cache run of a
-// benchmark.
-func (s *Suite) MemCache(name string, threads int) (*cpu.Result, error) {
-	return s.run(runKey{name: name, threads: threads, kind: cpu.WithMemCache})
+	return s.run(name, threads, design(cpu.WithMSHR))
 }
 
 // MACWithARQ returns a with-MAC run at a non-default ARQ depth.
 func (s *Suite) MACWithARQ(name string, threads, entries int) (*cpu.Result, error) {
-	return s.run(runKey{name: name, threads: threads, kind: cpu.WithMAC, arq: entries})
+	cfg := design(cpu.WithMAC)
+	cfg.MAC.ARQ.Entries = entries
+	return s.run(name, threads, cfg)
 }
 
 // MACWithLSQ returns a with-MAC run at a non-default LSQ depth.
 func (s *Suite) MACWithLSQ(name string, threads, depth int) (*cpu.Result, error) {
-	return s.run(runKey{name: name, threads: threads, kind: cpu.WithMAC, lsq: depth})
+	cfg := design(cpu.WithMAC)
+	cfg.Node.MaxOutstanding = depth
+	return s.run(name, threads, cfg)
 }
 
 // MACNoFill returns a with-MAC run with the latency-hiding fill mode
 // disabled.
 func (s *Suite) MACNoFill(name string, threads int) (*cpu.Result, error) {
-	return s.run(runKey{name: name, threads: threads, kind: cpu.WithMAC, fillOff: true})
+	cfg := design(cpu.WithMAC)
+	cfg.MAC.ARQ.FillMode = false
+	return s.run(name, threads, cfg)
 }
 
-// MACOnHBM returns a with-MAC run against the HBM device profile
-// (§4.3: same coalescer, 1KB rows, 32B minimum bursts).
+// MACOnHBM returns a with-MAC run against the HBM device profile.
 func (s *Suite) MACOnHBM(name string, threads int) (*cpu.Result, error) {
-	return s.run(runKey{name: name, threads: threads, kind: cpu.WithMAC, hbm: true})
+	return s.run(name, threads, onHBM(design(cpu.WithMAC)))
 }
 
 // RawOnHBM returns the uncoalesced run against the HBM profile.
 func (s *Suite) RawOnHBM(name string, threads int) (*cpu.Result, error) {
-	return s.run(runKey{name: name, threads: threads, kind: cpu.WithoutMAC, hbm: true})
+	return s.run(name, threads, onHBM(design(cpu.WithoutMAC)))
 }
 
 // MACWithFaults returns a with-MAC run with link-level fault injection
 // at the given per-transmission CRC error rate.
 func (s *Suite) MACWithFaults(name string, threads int, crcRate float64) (*cpu.Result, error) {
-	return s.run(runKey{name: name, threads: threads, kind: cpu.WithMAC, crc: crcRate})
+	return s.run(name, threads, s.withCRC(design(cpu.WithMAC), crcRate))
 }
 
-// MACChaos returns an audited with-MAC run under the given chaos
-// profile, link CRC error rate, and requester-side retry policy. The
-// profile is keyed by its canonical rendering, so equivalent spellings
-// share one cached simulation.
-func (s *Suite) MACChaos(name string, threads int, profile chaos.Profile, seed uint64, crcRate float64, retry memreq.RetryPolicy) (*cpu.Result, error) {
-	return s.run(runKey{
-		name: name, threads: threads, kind: cpu.WithMAC,
-		crc:        crcRate,
-		chaos:      profile.String(),
-		chaosSeed:  seed,
-		audit:      true,
-		maxRetries: retry.MaxRetries,
-		backoff:    int64(retry.Backoff),
-	})
+// withCRC injects link CRC errors at rate, seeded by the campaign
+// seed; rate 0 leaves the fault machinery off.
+func (s *Suite) withCRC(cfg cpu.RunConfig, rate float64) cpu.RunConfig {
+	if rate != 0 {
+		cfg.HMC.Faults.CRCErrorRate = rate
+		cfg.HMC.Faults.Seed = s.opts.Seed
+	}
+	return cfg
 }
 
-// MACChaosCube is MACChaos with the cube-internal fabric routed (the
-// given hmc.ParseCubeConfig string), so the chaos sweep also exercises
-// the cubelink stressor and the vault fabric's backpressure paths.
-func (s *Suite) MACChaosCube(name string, threads int, profile chaos.Profile, seed uint64, crcRate float64, retry memreq.RetryPolicy, cube string) (*cpu.Result, error) {
-	return s.run(runKey{
-		name: name, threads: threads, kind: cpu.WithMAC,
-		crc:        crcRate,
-		chaos:      profile.String(),
-		chaosSeed:  seed,
-		audit:      true,
-		maxRetries: retry.MaxRetries,
-		backoff:    int64(retry.Backoff),
-		cube:       cube,
-	})
+// MACChaosCube returns an audited with-MAC run under the given chaos
+// profile (seed, when non-zero, overriding its own), link CRC error
+// rate and requester-side retry policy, on the given cube-internal
+// fabric, so the chaos sweep also exercises the cubelink stressor and
+// the vault fabric's backpressure paths.
+func (s *Suite) MACChaosCube(name string, threads int, profile chaos.Profile, seed uint64, crcRate float64, retry memreq.RetryPolicy, cube hmc.CubeConfig) (*cpu.Result, error) {
+	cfg := s.withCRC(design(cpu.WithMAC), crcRate)
+	cfg.HMC.Cube = cube
+	if seed != 0 {
+		profile.Seed = seed
+	}
+	cfg.Chaos = profile
+	cfg.Audit = true
+	cfg.Retry = retry
+	return s.run(name, threads, cfg)
 }
 
 // MACFineBuilder returns a with-MAC run using the 16B-floor builder.
 func (s *Suite) MACFineBuilder(name string, threads int) (*cpu.Result, error) {
-	return s.run(runKey{name: name, threads: threads, kind: cpu.WithMAC, fine: true})
+	cfg := design(cpu.WithMAC)
+	cfg.MAC.FineBuilder = true
+	return s.run(name, threads, cfg)
 }
 
 // MACWithWindow returns a with-MAC run at a non-default coalescing
 // window (the §4.3 wide FLIT map/table), optionally on the HBM
 // profile whose 1KB rows match the 1KB window.
 func (s *Suite) MACWithWindow(name string, threads int, window uint32, hbm bool) (*cpu.Result, error) {
-	return s.run(runKey{name: name, threads: threads, kind: cpu.WithMAC, window: window, hbm: hbm})
+	cfg := design(cpu.WithMAC)
+	if hbm {
+		cfg = onHBM(cfg)
+	}
+	cfg.MAC.ARQ.WindowBytes = window
+	// A wider window merges more raw requests per entry; scale the
+	// entry's target buffer with the window so the study isolates the
+	// window effect (a 1KB window entry is a 4x larger hardware entry).
+	cfg.MAC.ARQ.MaxTargets = 12 * int(window) / 256
+	return s.run(name, threads, cfg)
 }
 
 // coalescingEfficiency computes the Fig. 10/11 metric from a MAC run

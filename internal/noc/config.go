@@ -2,7 +2,6 @@ package noc
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"mac3d/internal/sim"
@@ -13,7 +12,7 @@ const (
 	// Ideal is the contention-free crossbar: every message pays one
 	// fixed LinkLatency, requests are injection-limited to
 	// LinkBandwidth messages per node per cycle, and nothing else
-	// contends. "crossbar" parses as an alias.
+	// contends. WithDefaults accepts "crossbar" and "xbar" as aliases.
 	Ideal = "ideal"
 	// Ring is the bidirectional ring with shortest-path routing.
 	Ring = "ring"
@@ -64,8 +63,9 @@ func DefaultConfig() Config {
 // WithDefaults fills the unset fields of a partially specified config
 // and canonicalizes the topology name. It does not touch Nodes or
 // LinkLatency: a zero latency is a legal zero-cycle hop (the pre-NoC
-// NUMA model accepted it), so only ParseConfig — which can tell an
-// omitted lat key from lat=0 — applies the latency defaults.
+// NUMA model accepted it), so the latency default belongs to the
+// caller that can tell an omitted latency from a zero one (the façade's
+// NoCOptions.LinkLatencyNs).
 func (c Config) WithDefaults() Config {
 	switch strings.ToLower(strings.TrimSpace(c.Topology)) {
 	case "", Ideal, "crossbar", "xbar":
@@ -130,135 +130,4 @@ func (c Config) Validate() error {
 		}
 	}
 	return nil
-}
-
-// String renders the config in the canonical ParseConfig syntax:
-// ParseConfig(c.String()) reproduces c (after WithDefaults).
-func (c Config) String() string {
-	c = c.WithDefaults()
-	parts := []string{c.Topology}
-	if c.Nodes != 0 {
-		parts = append(parts, fmt.Sprintf("nodes=%d", c.Nodes))
-	}
-	parts = append(parts,
-		fmt.Sprintf("lat=%d", c.LinkLatency),
-		fmt.Sprintf("bw=%d", c.LinkBandwidth))
-	if c.Topology != Ideal {
-		parts = append(parts,
-			fmt.Sprintf("buf=%d", c.BufferFlits),
-			fmt.Sprintf("inject=%d", c.InjectDepth))
-	}
-	if c.Topology == Mesh && c.MeshCols != 0 {
-		parts = append(parts, fmt.Sprintf("cols=%d", c.MeshCols))
-	}
-	return strings.Join(parts, ",")
-}
-
-// ParseConfig parses the CLI/flag syntax for a fabric configuration:
-//
-//	TOPOLOGY[,key=value...]
-//
-// with keys nodes, lat (per-hop cycles), bw (flits/cycle), buf
-// (input-buffer flits), inject (injection-queue messages) and cols
-// (mesh width). The empty string parses as the default ideal fabric.
-// It never panics, whatever the input (FuzzParseNoCConfig holds it to
-// that), and anything it accepts passes Validate after WithDefaults
-// once a node count is supplied.
-func ParseConfig(s string) (Config, error) {
-	var c Config
-	sawLat := false
-	fields := strings.Split(s, ",")
-	c.Topology = strings.ToLower(strings.TrimSpace(fields[0]))
-	switch c.Topology {
-	case "", Ideal, "crossbar", "xbar", Ring, Mesh:
-	default:
-		return Config{}, fmt.Errorf("noc: unknown topology %q (want ideal, crossbar, ring or mesh)", c.Topology)
-	}
-	for _, part := range fields[1:] {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return Config{}, fmt.Errorf("noc: %q is not key=value", part)
-		}
-		n, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
-		if err != nil {
-			return Config{}, fmt.Errorf("noc: bad %s value %q: %w", k, v, err)
-		}
-		if n < 0 {
-			return Config{}, fmt.Errorf("noc: %s value %d is negative", k, n)
-		}
-		switch strings.TrimSpace(k) {
-		case "nodes":
-			if n > 1024 {
-				return Config{}, fmt.Errorf("noc: nodes %d exceeds the 1024 bound", n)
-			}
-			c.Nodes = int(n)
-		case "lat":
-			if n > 1<<40 {
-				return Config{}, fmt.Errorf("noc: lat %d exceeds the 2^40 bound", n)
-			}
-			c.LinkLatency = sim.Cycle(n)
-			sawLat = true
-		case "bw":
-			if n > 64 {
-				return Config{}, fmt.Errorf("noc: bw %d exceeds the 64 flits/cycle bound", n)
-			}
-			c.LinkBandwidth = int(n)
-		case "buf":
-			if n > 1<<20 {
-				return Config{}, fmt.Errorf("noc: buf %d exceeds the 2^20 bound", n)
-			}
-			c.BufferFlits = int(n)
-		case "inject":
-			if n > 1<<20 {
-				return Config{}, fmt.Errorf("noc: inject %d exceeds the 2^20 bound", n)
-			}
-			c.InjectDepth = int(n)
-		case "cols":
-			if n > 1024 {
-				return Config{}, fmt.Errorf("noc: cols %d exceeds the 1024 bound", n)
-			}
-			c.MeshCols = int(n)
-		default:
-			return Config{}, fmt.Errorf("noc: unknown key %q (want nodes, lat, bw, buf, inject or cols)", k)
-		}
-	}
-	// Keys that the topology ignores are rejected rather than silently
-	// dropped (they would not survive a String round trip).
-	switch c.Topology {
-	case "", "crossbar", "xbar":
-		c.Topology = Ideal
-	}
-	if c.Topology == Ideal && (c.BufferFlits != 0 || c.InjectDepth != 0 || c.MeshCols != 0) {
-		return Config{}, fmt.Errorf("noc: buf, inject and cols do not apply to the ideal topology")
-	}
-	if c.Topology == Ring && c.MeshCols != 0 {
-		return Config{}, fmt.Errorf("noc: cols only applies to the mesh topology")
-	}
-	if !sawLat {
-		// Per-hop cost for routed fabrics; ideal keeps the legacy
-		// one-way crossbar default.
-		if c.Topology == Ideal {
-			c.LinkLatency = 330
-		} else {
-			c.LinkLatency = 83 // ~25ns per hop at 3.3GHz
-		}
-	}
-	c = c.WithDefaults()
-	// Validate what can be validated without a node count; the zero
-	// Nodes means "inherit from the driver".
-	probe := c
-	if probe.Nodes == 0 {
-		probe.Nodes = 2
-		if probe.Topology == Mesh && probe.MeshCols > 0 {
-			probe.Nodes = probe.MeshCols
-		}
-	}
-	if err := probe.Validate(); err != nil {
-		return Config{}, err
-	}
-	return c, nil
 }

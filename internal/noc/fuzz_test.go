@@ -1,54 +1,49 @@
 package noc
 
 import (
-	"strings"
 	"testing"
+
+	"mac3d/internal/sim"
 )
 
-// FuzzParseNoCConfig holds ParseConfig to its contract: it never
-// panics, anything it accepts validates (once a node count is
-// supplied) and builds, and accepted configs survive a
-// String→ParseConfig round trip.
+// FuzzParseNoCConfig holds Config to its contract: WithDefaults is
+// idempotent, and every config Validate accepts, as given or after
+// WithDefaults, builds with New.
 func FuzzParseNoCConfig(f *testing.F) {
-	f.Add("")
-	f.Add("ideal")
-	f.Add("crossbar,lat=330,bw=2")
-	f.Add("ring,nodes=8,lat=83,bw=4,buf=32,inject=16")
-	f.Add("mesh,nodes=16,cols=8,lat=10")
-	f.Add("mesh,cols=3")
-	f.Add("ring, lat = 5 , bw = 1 ")
-	f.Add("torus")
-	f.Add("ring,lat=-1")
-	f.Add("ring,lat=99999999999999999999")
-	f.Add("mesh,cols=3,nodes=4")
-	f.Add(strings.Repeat(",", 100))
-	f.Fuzz(func(t *testing.T, s string) {
-		c, err := ParseConfig(s)
-		if err != nil {
-			return
+	// Fields: topology, nodes, lat, bw, buf, inject, cols.
+	f.Add("", 0, uint64(0), 0, 0, 0, 0)
+	f.Add("ideal", 2, uint64(330), 2, 0, 0, 0)
+	f.Add("crossbar", 2, uint64(330), 2, 0, 0, 0)
+	f.Add("ring", 8, uint64(83), 4, 32, 16, 0)
+	f.Add("mesh", 16, uint64(10), 2, 64, 8, 8)
+	f.Add("mesh", 0, uint64(0), 0, 0, 0, 3)
+	f.Add(" Ring ", 2, uint64(5), 1, 0, 0, 0)
+	f.Add("torus", 4, uint64(0), 0, 0, 0, 0)
+	f.Add("ring", -1, uint64(0), -1, -1, -1, -1)
+	f.Add("ring", 2, uint64(1)<<41, 65, 1<<21, 1<<21, 0)
+	f.Add("mesh", 4, uint64(0), 0, 0, 0, 3)
+	f.Add("xbar", 1024, uint64(1)<<40, 64, 0, 0, 0)
+	f.Fuzz(func(t *testing.T, topology string, nodes int, lat uint64, bw, buf, inject, cols int) {
+		raw := Config{
+			Topology:      topology,
+			Nodes:         nodes,
+			LinkLatency:   sim.Cycle(lat),
+			LinkBandwidth: bw,
+			BufferFlits:   buf,
+			InjectDepth:   inject,
+			MeshCols:      cols,
 		}
-		// Accepted configs must validate and build once the driver
-		// supplies a node count.
-		cfg := c
-		if cfg.Nodes == 0 {
-			cfg.Nodes = 2
-			if cfg.Topology == Mesh && cfg.MeshCols > 0 {
-				cfg.Nodes = cfg.MeshCols
+		def := raw.WithDefaults()
+		if again := def.WithDefaults(); again != def {
+			t.Fatalf("WithDefaults not idempotent: %+v then %+v", def, again)
+		}
+		for _, c := range []Config{raw, def} {
+			if c.Validate() != nil {
+				continue
 			}
-		}
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("ParseConfig(%q) accepted %+v but Validate: %v", s, cfg, err)
-		}
-		if _, err := New[int](cfg); err != nil {
-			t.Fatalf("ParseConfig(%q) accepted %+v but New: %v", s, cfg, err)
-		}
-		// Canonical form must round-trip.
-		back, err := ParseConfig(c.String())
-		if err != nil {
-			t.Fatalf("round trip of %q → %q: %v", s, c.String(), err)
-		}
-		if back != c {
-			t.Fatalf("round trip of %q: %+v != %+v", s, back, c)
+			if _, err := New[int](c); err != nil {
+				t.Fatalf("Validate accepted %+v but New: %v", c, err)
+			}
 		}
 	})
 }

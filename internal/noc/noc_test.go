@@ -320,6 +320,8 @@ func TestZeroHopDelivery(t *testing.T) {
 	}
 }
 
+// TestConfigStringParseRoundTrip checks that WithDefaults is
+// idempotent: a defaulted config is already canonical.
 func TestConfigStringParseRoundTrip(t *testing.T) {
 	for _, cfg := range []Config{
 		{Topology: Ideal, Nodes: 2, LinkLatency: 330, LinkBandwidth: 2},
@@ -327,42 +329,34 @@ func TestConfigStringParseRoundTrip(t *testing.T) {
 		{Topology: Mesh, Nodes: 16, LinkLatency: 10, LinkBandwidth: 2, BufferFlits: 64, InjectDepth: 8, MeshCols: 8},
 		{Topology: Mesh}, // defaults
 	} {
-		want := cfg.WithDefaults()
-		got, err := ParseConfig(want.String())
-		if err != nil {
-			t.Fatalf("ParseConfig(%q): %v", want.String(), err)
-		}
-		if got != want {
-			t.Errorf("round trip %q: got %+v want %+v", want.String(), got, want)
+		once := cfg.WithDefaults()
+		if twice := once.WithDefaults(); twice != once {
+			t.Errorf("WithDefaults(%+v) = %+v, applied again %+v", cfg, once, twice)
 		}
 	}
 }
 
+// TestParseConfigRejects checks that Validate refuses the bad configs a
+// Config can express.
 func TestParseConfigRejects(t *testing.T) {
-	for _, s := range []string{
-		"torus",               // unknown topology
-		"ring,bogus=1",        // unknown key
-		"ring,lat",            // not key=value
-		"ring,lat=x",          // not a number
-		"ring,lat=-1",         // negative
-		"ring,nodes=99999",    // over bound
-		"ring,buf=1",          // cannot hold two max messages
-		"mesh,cols=3,nodes=4", // cols does not divide nodes
+	for name, c := range map[string]Config{
+		"unknown topology":      {Topology: "torus", Nodes: 4},
+		"nodes over bound":      {Topology: Ring, Nodes: 99999},
+		"buffer under two msgs": {Topology: Ring, Nodes: 4, BufferFlits: 1},
+		"cols do not divide":    {Topology: Mesh, Nodes: 4, MeshCols: 3},
 	} {
-		if _, err := ParseConfig(s); err == nil {
-			t.Errorf("ParseConfig(%q) accepted, want error", s)
+		if err := c.WithDefaults().Validate(); err == nil {
+			t.Errorf("%s: Validate(%+v) accepted, want error", name, c.WithDefaults())
 		}
 	}
 }
 
+// TestParseConfigAliases checks that WithDefaults canonicalizes every
+// spelling of the ideal crossbar.
 func TestParseConfigAliases(t *testing.T) {
 	for _, s := range []string{"", "crossbar", "xbar", " IDEAL "} {
-		c, err := ParseConfig(s)
-		if err != nil {
-			t.Fatalf("ParseConfig(%q): %v", s, err)
-		}
-		if c.Topology != Ideal {
-			t.Errorf("ParseConfig(%q).Topology = %q, want ideal", s, c.Topology)
+		if got := (Config{Topology: s}).WithDefaults().Topology; got != Ideal {
+			t.Errorf("WithDefaults(Topology %q).Topology = %q, want ideal", s, got)
 		}
 	}
 }

@@ -27,12 +27,9 @@ import (
 	"mac3d"
 )
 
-// SpecVersion is the job-spec schema version this build writes.
-// Version 3 added the cube-internal fabric ("cube") string on run and
-// numa options; version 2 added the NUMA "noc" and "chaos" blocks.
-// Older specs are still accepted as long as they do not use the blocks
-// that postdate them, and are rewritten to the current version by
-// normalization.
+// SpecVersion is the job-spec schema version this build writes. Older
+// versions still parse as long as they use nothing a later version
+// added (specAdditions), and normalization rewrites them to this one.
 const SpecVersion = 3
 
 // Kind selects what a job executes.
@@ -55,7 +52,7 @@ const (
 // the same job — they share one cache entry and one execution.
 type Spec struct {
 	// Version is the spec schema version (0 is read as the current
-	// version; anything else must match SpecVersion).
+	// version; older versions are upgraded to SpecVersion).
 	Version int `json:"version,omitempty"`
 	// Kind selects run, compare or numa.
 	Kind Kind `json:"kind"`
@@ -101,14 +98,7 @@ func ParseSpec(data []byte) (Spec, error) {
 	if err := checkTrailing(dec); err != nil {
 		return Spec{}, err
 	}
-	s := w.Spec
-	if w.NUMA != nil {
-		if w.NUMA.Parallel < 0 {
-			return Spec{}, fmt.Errorf("service: numa \"parallel\" %d is negative", w.NUMA.Parallel)
-		}
-		s.NUMA = &w.NUMA.NUMAOptions
-	}
-	s, err := s.normalize()
+	s, err := w.normalize()
 	if err != nil {
 		return Spec{}, err
 	}
@@ -122,42 +112,61 @@ func checkTrailing(dec *json.Decoder) error {
 	return nil
 }
 
-// normalize validates the spec and rewrites it to canonical form:
-// version explicit, every defaulted option field explicit.
-func (s Spec) normalize() (Spec, error) {
-	switch s.Version {
-	case 0:
+// specAdditions lists what each spec version added. A spec declaring
+// an older version that uses a later addition is mislabeled, not
+// compatible, and is refused.
+var specAdditions = []struct {
+	version int
+	what    string
+	used    func(Spec) bool
+}{
+	{2, `the NUMA "noc" and "chaos" blocks`, func(s Spec) bool {
+		return s.NUMA != nil && (s.NUMA.NoC != nil || s.NUMA.Chaos != (mac3d.ChaosOptions{}))
+	}},
+	{2, `the warp/memcache designs and "frontend" tuning`, func(s Spec) bool {
+		tuned := func(d mac3d.Design, frontend string) bool {
+			return d == mac3d.DesignWarp || d == mac3d.DesignMemCache || frontend != ""
+		}
+		return s.Run != nil && tuned(s.Run.Design, s.Run.Frontend) || s.NUMA != nil && tuned(s.NUMA.Design, s.NUMA.Frontend)
+	}},
+	{3, `the "cube" block`, func(s Spec) bool {
+		return s.Run != nil && s.Run.Cube != "" || s.NUMA != nil && s.NUMA.Cube != ""
+	}},
+}
+
+// upgrade owns every spec version rule: it checks the declared version
+// (0 reads as the current one) against specAdditions, checks and drops
+// the numa block's "parallel", and declares the current version.
+func (w specWire) upgrade() (Spec, error) {
+	s := w.Spec
+	if w.NUMA != nil {
+		if w.NUMA.Parallel < 0 {
+			return s, fmt.Errorf("service: numa \"parallel\" %d is negative", w.NUMA.Parallel)
+		}
+		s.NUMA = &w.NUMA.NUMAOptions
+	}
+	if s.Version == 0 {
 		s.Version = SpecVersion
-	case SpecVersion:
-	case 1:
-		// v1 predates the NUMA interconnect and chaos blocks. A v1
-		// spec that uses neither means the same job it always meant;
-		// one that smuggles them in under the old version is a
-		// mislabeled spec, not a compatible one.
-		if s.NUMA != nil && (s.NUMA.NoC != nil || s.NUMA.Chaos != (mac3d.ChaosOptions{})) {
-			return s, fmt.Errorf("service: spec version 1 predates the NUMA \"noc\" and \"chaos\" blocks (declare version %d)", SpecVersion)
-		}
-		// v1 also predates the warp and memcache frontends and the
-		// frontend tuning string; same rule.
-		if s.Run != nil && (s.Run.Design == mac3d.DesignWarp || s.Run.Design == mac3d.DesignMemCache || s.Run.Frontend != "") {
-			return s, fmt.Errorf("service: spec version 1 predates the warp/memcache designs and \"frontend\" tuning (declare version %d)", SpecVersion)
-		}
-		if s.NUMA != nil && (s.NUMA.Design == mac3d.DesignWarp || s.NUMA.Design == mac3d.DesignMemCache || s.NUMA.Frontend != "") {
-			return s, fmt.Errorf("service: spec version 1 predates the warp/memcache designs and \"frontend\" tuning (declare version %d)", SpecVersion)
-		}
-		if err := rejectCube(s, 1); err != nil {
-			return s, err
-		}
-		s.Version = SpecVersion
-	case 2:
-		// v2 predates the cube-internal fabric string; same rule as
-		// the v1 gates above.
-		if err := rejectCube(s, 2); err != nil {
-			return s, err
-		}
-		s.Version = SpecVersion
-	default:
+	}
+	if s.Version < 1 || s.Version > SpecVersion {
 		return s, fmt.Errorf("service: unsupported spec version %d (this build speaks %d)", s.Version, SpecVersion)
+	}
+	for _, a := range specAdditions {
+		if s.Version < a.version && a.used(s) {
+			return s, fmt.Errorf("service: spec version %d predates %s (declare version %d)", s.Version, a.what, SpecVersion)
+		}
+	}
+	s.Version = SpecVersion
+	return s, nil
+}
+
+// normalize validates the spec and rewrites it to canonical form:
+// version upgraded, defaults filled by RunOptions.Normalize or
+// NUMAOptions.Normalize.
+func (w specWire) normalize() (Spec, error) {
+	s, err := w.upgrade()
+	if err != nil {
+		return s, err
 	}
 	switch s.Kind {
 	case KindRun, KindCompare:
@@ -195,24 +204,12 @@ func (s Spec) normalize() (Spec, error) {
 	return s, nil
 }
 
-// rejectCube errors if a pre-v3 spec uses the cube-internal fabric
-// string, which version 3 introduced.
-func rejectCube(s Spec, v int) error {
-	if s.Run != nil && s.Run.Cube != "" {
-		return fmt.Errorf("service: spec version %d predates the \"cube\" block (declare version %d)", v, SpecVersion)
-	}
-	if s.NUMA != nil && s.NUMA.Cube != "" {
-		return fmt.Errorf("service: spec version %d predates the \"cube\" block (declare version %d)", v, SpecVersion)
-	}
-	return nil
-}
-
 // Canonical renders the normalized spec as canonical JSON: the bytes
 // that are hashed for the content-addressed cache. Encoding a Go
 // struct is deterministic (fields in declaration order, map-free), so
 // equal normalized specs produce equal bytes.
 func (s Spec) Canonical() ([]byte, error) {
-	n, err := s.normalize()
+	n, err := specWire{Spec: s}.normalize()
 	if err != nil {
 		return nil, err
 	}

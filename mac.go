@@ -242,7 +242,14 @@ type FaultOptions struct {
 	Seed uint64 `json:"seed,omitempty"`
 }
 
-func (o RunOptions) withDefaults() RunOptions {
+// Normalize returns the options with Threads and Seed made explicit:
+// the canonical form used by the macd job cache. Normalize is
+// idempotent, and equal normalized options imply byte-identical
+// reports. The converse does not hold: every other field keeps the
+// caller's spelling, so an explicit default (ARQEntries 32,
+// BuilderMinBytes 64, WatchdogCycles 1,000,000, Chaos profile "off")
+// normalizes apart from the omitted field it equals.
+func (o RunOptions) Normalize() RunOptions {
 	if o.Threads == 0 {
 		o.Threads = 8
 	}
@@ -251,13 +258,6 @@ func (o RunOptions) withDefaults() RunOptions {
 	}
 	return o
 }
-
-// Normalize returns the options with every defaulted field made
-// explicit, so two configurations that select the same run compare
-// (and hash) equal. It is the canonical form used by the macd job
-// cache: Normalize is idempotent, and equal normalized options imply
-// byte-identical reports.
-func (o RunOptions) Normalize() RunOptions { return o.withDefaults() }
 
 // maxServiceUnits bounds the resource-shaped knobs a job spec may
 // request (threads, cores, queue depths): large enough for any
@@ -296,11 +296,27 @@ func checkRate(kind, name string, v float64) error {
 // macd job-spec parser relies on Validate rejecting — never panicking
 // on — arbitrary option values.
 func (o RunOptions) Validate() error {
-	if o.Workload == "" {
-		return fmt.Errorf("mac3d: RunOptions.Workload is required")
-	}
-	if _, err := workloads.New(o.Workload); err != nil {
-		return fmt.Errorf("mac3d: %w", err)
+	_, err := o.lower(true)
+	return err
+}
+
+// lower applies Validate's checks and lowers the options onto the
+// internal configuration. Every entry point runs it exactly once per
+// run. named says the entry point generates the named workload's
+// trace: only then are the workload name and the scale checked, so a
+// caller's own trace may run under any label.
+func (o RunOptions) lower(named bool) (cpu.RunConfig, error) {
+	if named {
+		if o.Workload == "" {
+			return cpu.RunConfig{}, fmt.Errorf("mac3d: RunOptions.Workload is required")
+		}
+		if _, err := workloads.New(o.Workload); err != nil {
+			return cpu.RunConfig{}, fmt.Errorf("mac3d: %w", err)
+		}
+		// A scale without a name is not one of the three size classes.
+		if _, err := o.Scale.MarshalText(); err != nil {
+			return cpu.RunConfig{}, err
+		}
 	}
 	if err := checkNonNegative("RunOptions",
 		field{"ARQEntries", int64(o.ARQEntries)},
@@ -322,7 +338,7 @@ func (o RunOptions) Validate() error {
 		field{"Threads", int64(o.Threads)},
 		field{"WindowBytes", int64(o.WindowBytes)},
 	); err != nil {
-		return err
+		return cpu.RunConfig{}, err
 	}
 	// Bound the resource-shaped knobs so a single spec cannot demand
 	// absurd allocations (and so int -> uint32 lowering cannot wrap).
@@ -338,26 +354,15 @@ func (o RunOptions) Validate() error {
 		{"WindowBytes", int64(o.WindowBytes)},
 	} {
 		if f.v > maxServiceUnits {
-			return fmt.Errorf("mac3d: RunOptions.%s %d exceeds the %d bound", f.name, f.v, maxServiceUnits)
+			return cpu.RunConfig{}, fmt.Errorf("mac3d: RunOptions.%s %d exceeds the %d bound", f.name, f.v, maxServiceUnits)
 		}
 	}
 	if err := checkRate("RunOptions", "Faults.CRCErrorRate", o.Faults.CRCErrorRate); err != nil {
-		return err
+		return cpu.RunConfig{}, err
 	}
 	if err := checkRate("RunOptions", "Faults.LinkFailRate", o.Faults.LinkFailRate); err != nil {
-		return err
+		return cpu.RunConfig{}, err
 	}
-	if _, err := o.workloadConfig(); err != nil {
-		return err
-	}
-	if _, err := o.runConfig(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// runConfig lowers the options onto the internal configurations.
-func (o RunOptions) runConfig() (cpu.RunConfig, error) {
 	cfg := cpu.DefaultRunConfig()
 	cfg.Kind = o.Design
 	tuning, err := coalesce.ParseTuning(o.Frontend)
@@ -447,12 +452,9 @@ func (o RunOptions) runConfig() (cpu.RunConfig, error) {
 	return cfg, cfg.Validate()
 }
 
-func (o RunOptions) workloadConfig() (workloads.Config, error) {
-	// A scale without a name is not one of the three size classes.
-	if _, err := o.Scale.MarshalText(); err != nil {
-		return workloads.Config{}, err
-	}
-	return workloads.Config{Threads: o.Threads, Seed: o.Seed, Scale: o.Scale}, nil
+// generate builds the named workload's trace.
+func (o RunOptions) generate() (*trace.Trace, error) {
+	return workloads.Generate(o.Workload, workloads.Config{Threads: o.Threads, Seed: o.Seed, Scale: o.Scale})
 }
 
 // WorkloadInfo describes one registered benchmark kernel.
@@ -481,55 +483,63 @@ func PaperWorkloads() []string { return workloads.PaperSet() }
 
 // Run executes one workload under the selected design and reports the
 // measurements.
-func Run(opts RunOptions) (*RunReport, error) {
-	opts = opts.withDefaults()
-	wcfg, err := opts.workloadConfig()
-	if err != nil {
-		return nil, err
-	}
-	tr, err := workloads.Generate(opts.Workload, wcfg)
-	if err != nil {
-		return nil, err
-	}
-	return runTrace(opts, tr)
-}
-
-func runTrace(opts RunOptions, tr *trace.Trace) (*RunReport, error) {
-	rcfg, err := opts.runConfig()
-	if err != nil {
-		return nil, err
-	}
-	rcfg.Obs = opts.Observe.build()
-	res, err := cpu.Run(rcfg, tr)
-	if err != nil {
-		return nil, err
-	}
-	rep := newRunReport(opts, rcfg, res)
-	rep.Observability = newObsReport(rcfg.Obs)
-	return &rep, nil
-}
+func Run(opts RunOptions) (*RunReport, error) { return run(opts, source{}) }
 
 // Compare runs one workload twice — with MAC and with the raw path —
 // and reports the paper's comparison metrics.
-func Compare(opts RunOptions) (*CompareReport, error) {
-	opts = opts.withDefaults()
-	wcfg, err := opts.workloadConfig()
-	if err != nil {
-		return nil, err
-	}
-	tr, err := workloads.Generate(opts.Workload, wcfg)
-	if err != nil {
-		return nil, err
-	}
-	return compareTrace(opts, tr)
+func Compare(opts RunOptions) (*CompareReport, error) { return compare(opts, source{}) }
+
+// source is the trace a single-node entry point replays: the named
+// workload's, generated on demand (a nil tr), or a caller's own trace,
+// reported under label when RunOptions.Workload is empty and run with
+// at least threads hardware threads.
+type source struct {
+	tr      *trace.Trace
+	label   string
+	threads int
 }
 
-func compareTrace(opts RunOptions, tr *trace.Trace) (*CompareReport, error) {
-	rcfg, err := opts.runConfig()
+// prepare is the one path from options to a run, shared by every
+// single-node entry point: it fills the defaults, applies Validate's
+// checks, lowers the options once and resolves the trace.
+func prepare(opts RunOptions, src source) (RunOptions, cpu.RunConfig, *trace.Trace, error) {
+	opts = opts.Normalize()
+	cfg, err := opts.lower(src.tr == nil)
+	if err != nil {
+		return opts, cfg, nil, err
+	}
+	if src.tr == nil {
+		tr, err := opts.generate()
+		return opts, cfg, tr, err
+	}
+	if opts.Workload == "" {
+		opts.Workload = src.label
+	}
+	opts.Threads = max(opts.Threads, src.threads)
+	return opts, cfg, src.tr, nil
+}
+
+func run(opts RunOptions, src source) (*RunReport, error) {
+	opts, cfg, tr, err := prepare(opts, src)
 	if err != nil {
 		return nil, err
 	}
-	cmp, err := cpu.Compare(rcfg, tr)
+	cfg.Obs = opts.Observe.build()
+	res, err := cpu.Run(cfg, tr)
+	if err != nil {
+		return nil, err
+	}
+	rep := newRunReport(opts, cfg, res)
+	rep.Observability = newObsReport(cfg.Obs)
+	return &rep, nil
+}
+
+func compare(opts RunOptions, src source) (*CompareReport, error) {
+	opts, cfg, tr, err := prepare(opts, src)
+	if err != nil {
+		return nil, err
+	}
+	cmp, err := cpu.Compare(cfg, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -538,8 +548,8 @@ func compareTrace(opts RunOptions, tr *trace.Trace) (*CompareReport, error) {
 	withoutOpts := opts
 	withoutOpts.Design = DesignRaw
 	return &CompareReport{
-		With:                  newRunReport(withOpts, rcfg, cmp.With),
-		Without:               newRunReport(withoutOpts, rcfg, cmp.Without),
+		With:                  newRunReport(withOpts, cfg, cmp.With),
+		Without:               newRunReport(withoutOpts, cfg, cmp.Without),
 		CoalescingEfficiency:  cmp.CoalescingEfficiency(),
 		MemorySpeedup:         cmp.MemorySpeedup(),
 		MakespanSpeedup:       cmp.MakespanSpeedup(),

@@ -8,7 +8,6 @@ import (
 	"mac3d/internal/noc"
 	"mac3d/internal/numa"
 	"mac3d/internal/sim"
-	"mac3d/internal/workloads"
 )
 
 // NUMAOptions configures a multi-node run (the paper's full §3
@@ -97,9 +96,14 @@ type NoCOptions struct {
 	MeshCols int `json:"mesh_cols,omitempty"`
 }
 
-// Normalize returns the options with every defaulted field made
-// explicit — the canonical form used by the macd job cache. Normalize
-// is idempotent.
+// Normalize returns the options with Threads, Seed, Nodes,
+// CoresPerNode and LinkLatencyNs made explicit, and, when a NoC block
+// is present, its topology canonicalized and its defaulted fields
+// filled: the canonical form used by the macd job cache. Normalize is
+// idempotent, and equal normalized options imply byte-identical
+// reports. The converse does not hold: an explicit default elsewhere
+// (InterleaveBytes 256) or a NoC block that restates the default fabric
+// normalizes apart from the spec that omits it.
 func (o NUMAOptions) Normalize() NUMAOptions {
 	if o.Threads == 0 {
 		o.Threads = 8
@@ -164,71 +168,68 @@ func (o NUMAOptions) tile() RunOptions {
 // accepts exactly the options Validate accepts; like
 // RunOptions.Validate it never panics, whatever the field values.
 func (o NUMAOptions) Validate() error {
-	if err := o.tile().Validate(); err != nil {
-		return err
+	_, err := o.Normalize().lower()
+	return err
+}
+
+// lower applies Validate's checks to normalized options and lowers
+// them, once, onto the internal multi-node configuration: the shared
+// fields become the tile every node runs, through the single-node
+// lowering, and the rest size the system and its interconnect.
+func (o NUMAOptions) lower() (numa.Config, error) {
+	cfg := numa.DefaultConfig()
+	tile, err := o.tile().lower(true)
+	if err != nil {
+		return cfg, err
 	}
 	if err := checkNonNegative("NUMAOptions",
 		field{"CoresPerNode", int64(o.CoresPerNode)},
 		field{"Nodes", int64(o.Nodes)},
 	); err != nil {
-		return err
+		return cfg, err
 	}
 	if o.Nodes > 256 {
-		return fmt.Errorf("mac3d: NUMAOptions.Nodes %d exceeds the 256 bound", o.Nodes)
+		return cfg, fmt.Errorf("mac3d: NUMAOptions.Nodes %d exceeds the 256 bound", o.Nodes)
 	}
 	if o.CoresPerNode > maxServiceUnits {
-		return fmt.Errorf("mac3d: NUMAOptions.CoresPerNode %d exceeds the %d bound", o.CoresPerNode, maxServiceUnits)
+		return cfg, fmt.Errorf("mac3d: NUMAOptions.CoresPerNode %d exceeds the %d bound", o.CoresPerNode, maxServiceUnits)
 	}
 	if math.IsNaN(o.LinkLatencyNs) || math.IsInf(o.LinkLatencyNs, 0) || o.LinkLatencyNs < 0 {
-		return fmt.Errorf("mac3d: NUMAOptions.LinkLatencyNs %v is not a non-negative latency", o.LinkLatencyNs)
+		return cfg, fmt.Errorf("mac3d: NUMAOptions.LinkLatencyNs %v is not a non-negative latency", o.LinkLatencyNs)
 	}
 	if o.LinkLatencyNs > 1e9 {
-		return fmt.Errorf("mac3d: NUMAOptions.LinkLatencyNs %v exceeds the 1e9 bound", o.LinkLatencyNs)
+		return cfg, fmt.Errorf("mac3d: NUMAOptions.LinkLatencyNs %v exceeds the 1e9 bound", o.LinkLatencyNs)
 	}
-	n := o.Normalize()
-	if o.NoC != nil {
+	if n := o.NoC; n != nil {
 		if err := checkNonNegative("NUMAOptions.NoC",
-			field{"BufferFlits", int64(o.NoC.BufferFlits)},
-			field{"InjectDepth", int64(o.NoC.InjectDepth)},
-			field{"LinkBandwidth", int64(o.NoC.LinkBandwidth)},
-			field{"MeshCols", int64(o.NoC.MeshCols)},
-			field{"Nodes", int64(o.NoC.Nodes)},
+			field{"BufferFlits", int64(n.BufferFlits)},
+			field{"InjectDepth", int64(n.InjectDepth)},
+			field{"LinkBandwidth", int64(n.LinkBandwidth)},
+			field{"MeshCols", int64(n.MeshCols)},
+			field{"Nodes", int64(n.Nodes)},
 		); err != nil {
-			return err
+			return cfg, err
 		}
-		if o.NoC.Nodes != 0 && o.NoC.Nodes != n.Nodes {
-			return fmt.Errorf("mac3d: NUMAOptions.NoC.Nodes %d disagrees with Nodes %d (leave it 0 to inherit)",
-				o.NoC.Nodes, n.Nodes)
+		if n.Nodes != 0 && n.Nodes != o.Nodes {
+			return cfg, fmt.Errorf("mac3d: NUMAOptions.NoC.Nodes %d disagrees with Nodes %d (leave it 0 to inherit)",
+				n.Nodes, o.Nodes)
 		}
-		if math.IsNaN(o.NoC.LinkLatencyNs) || math.IsInf(o.NoC.LinkLatencyNs, 0) || o.NoC.LinkLatencyNs < 0 {
-			return fmt.Errorf("mac3d: NUMAOptions.NoC.LinkLatencyNs %v is not a non-negative latency", o.NoC.LinkLatencyNs)
+		if math.IsNaN(n.LinkLatencyNs) || math.IsInf(n.LinkLatencyNs, 0) || n.LinkLatencyNs < 0 {
+			return cfg, fmt.Errorf("mac3d: NUMAOptions.NoC.LinkLatencyNs %v is not a non-negative latency", n.LinkLatencyNs)
 		}
-		if o.NoC.LinkLatencyNs > 1e9 {
-			return fmt.Errorf("mac3d: NUMAOptions.NoC.LinkLatencyNs %v exceeds the 1e9 bound", o.NoC.LinkLatencyNs)
+		if n.LinkLatencyNs > 1e9 {
+			return cfg, fmt.Errorf("mac3d: NUMAOptions.NoC.LinkLatencyNs %v exceeds the 1e9 bound", n.LinkLatencyNs)
 		}
 	}
 	// Threads are homed round-robin on thread % Nodes, so node 0
 	// carries ceil(Threads/Nodes) of them; reject here what the system
 	// would reject at trace-load time, so a bad job spec fails at
 	// submission rather than mid-run.
-	if perNode := (n.Threads + n.Nodes - 1) / n.Nodes; perNode > n.CoresPerNode {
-		return fmt.Errorf("mac3d: NUMAOptions places %d threads per node with %d cores (threads %d over %d nodes)",
-			perNode, n.CoresPerNode, n.Threads, n.Nodes)
+	if perNode := (o.Threads + o.Nodes - 1) / o.Nodes; perNode > o.CoresPerNode {
+		return cfg, fmt.Errorf("mac3d: NUMAOptions places %d threads per node with %d cores (threads %d over %d nodes)",
+			perNode, o.CoresPerNode, o.Threads, o.Nodes)
 	}
-	_, err := n.numaConfig()
-	return err
-}
-
-// numaConfig lowers normalized options onto the internal multi-node
-// configuration: the shared fields become the tile every node runs,
-// the rest size the system and its interconnect.
-func (o NUMAOptions) numaConfig() (numa.Config, error) {
 	clock := sim.NewClock(0)
-	cfg := numa.DefaultConfig()
-	tile, err := o.tile().runConfig()
-	if err != nil {
-		return cfg, err
-	}
 	cfg.Tile = tile
 	cfg.Tile.Node.Cores = o.CoresPerNode
 	cfg.Nodes = o.Nodes
@@ -236,15 +237,15 @@ func (o NUMAOptions) numaConfig() (numa.Config, error) {
 	if o.InterleaveBytes != 0 {
 		cfg.InterleaveBytes = o.InterleaveBytes
 	}
-	if o.NoC != nil {
+	if n := o.NoC; n != nil {
 		cfg.NoC = noc.Config{
-			Topology:      o.NoC.Topology,
-			Nodes:         o.NoC.Nodes,
-			LinkLatency:   clock.CyclesForNanos(o.NoC.LinkLatencyNs),
-			LinkBandwidth: o.NoC.LinkBandwidth,
-			BufferFlits:   o.NoC.BufferFlits,
-			InjectDepth:   o.NoC.InjectDepth,
-			MeshCols:      o.NoC.MeshCols,
+			Topology:      n.Topology,
+			Nodes:         n.Nodes,
+			LinkLatency:   clock.CyclesForNanos(n.LinkLatencyNs),
+			LinkBandwidth: n.LinkBandwidth,
+			BufferFlits:   n.BufferFlits,
+			InjectDepth:   n.InjectDepth,
+			MeshCols:      n.MeshCols,
 		}
 	}
 	return cfg, cfg.Validate()
@@ -326,20 +327,11 @@ type NUMANodeReport struct {
 // RunNUMA executes one workload on a multi-node system.
 func RunNUMA(opts NUMAOptions) (*NUMAReport, error) {
 	opts = opts.Normalize()
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	wcfg, err := opts.tile().workloadConfig()
+	cfg, err := opts.lower()
 	if err != nil {
 		return nil, err
 	}
-	tr, err := workloads.Generate(opts.Workload, wcfg)
-	if err != nil {
-		return nil, err
-	}
-
-	clock := sim.NewClock(0)
-	cfg, err := opts.numaConfig()
+	tr, err := opts.tile().generate()
 	if err != nil {
 		return nil, err
 	}
@@ -348,6 +340,7 @@ func RunNUMA(opts NUMAOptions) (*NUMAReport, error) {
 		return nil, err
 	}
 
+	clock := sim.NewClock(0)
 	rep := &NUMAReport{
 		Workload:         opts.Workload,
 		Nodes:            opts.Nodes,

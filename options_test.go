@@ -1,6 +1,70 @@
 package mac3d
 
-import "testing"
+import (
+	"bytes"
+	"io"
+	"testing"
+)
+
+// TestEntryPointsValidate holds every single-node entry point to
+// Validate: each refuses exactly what Validate refuses, whether it
+// generates the named workload or replays a caller's trace.
+func TestEntryPointsValidate(t *testing.T) {
+	b, err := NewTraceBuilder(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Load(1, b.Alloc(64), 8); err != nil {
+		t.Fatal(err)
+	}
+	file, err := workloadTraceForTest("sg", 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := []struct {
+		name string
+		run  func(RunOptions) error
+	}{
+		{"Run", func(o RunOptions) error { _, err := Run(o); return err }},
+		{"Compare", func(o RunOptions) error { _, err := Compare(o); return err }},
+		{"RunTrace", func(o RunOptions) error { _, err := RunTrace(o, b); return err }},
+		{"CompareTrace", func(o RunOptions) error { _, err := CompareTrace(o, b); return err }},
+		{"RunTraceFile", func(o RunOptions) error { _, err := RunTraceFile(o, bytes.NewReader(data)); return err }},
+		{"CompareTraceFile", func(o RunOptions) error { _, err := CompareTraceFile(o, bytes.NewReader(data)); return err }},
+	}
+	for _, c := range []struct {
+		name string
+		opts RunOptions
+	}{
+		{"negative Observe.SampleInterval", RunOptions{Observe: ObserveOptions{SampleInterval: -5}}},
+		{"negative Observe.MaxTraceEvents", RunOptions{Observe: ObserveOptions{MaxTraceEvents: -1}}},
+		{"HMCMaxInflight over bound", RunOptions{HMCMaxInflight: 100_000}},
+		{"MaxOutstanding over bound", RunOptions{MaxOutstanding: 100_000}},
+		{"TargetBufferDepth over bound", RunOptions{TargetBufferDepth: 100_000}},
+	} {
+		c.opts.Workload, c.opts.Threads = "sg", 2
+		if c.opts.Validate() == nil {
+			t.Errorf("Validate accepted %s", c.name)
+		}
+		for _, e := range entries {
+			if e.run(c.opts) == nil {
+				t.Errorf("%s accepted %s", e.name, c.name)
+			}
+		}
+	}
+	// The registry is consulted only when the entry point generates
+	// the trace itself: a caller's trace runs under any label.
+	if _, err := RunTrace(RunOptions{Workload: "hashjoin"}, b); err != nil {
+		t.Errorf("RunTrace refused an unregistered label: %v", err)
+	}
+	if _, err := Run(RunOptions{Workload: "hashjoin"}); err == nil {
+		t.Error("Run accepted an unregistered workload")
+	}
+}
 
 func TestWindowBytesKnob(t *testing.T) {
 	base, err := Run(RunOptions{Workload: "sg", Threads: 4})
