@@ -30,8 +30,12 @@
 //     per-tenant admission quotas. CONFIG is
 //     "shards=URL|URL,vnodes=N,hb=DUR,jitter=F,fail=N,readmit=N,
 //     quota=RATE:BURST,tenant=NAME:RATE:BURST,seed=N" (see
-//     internal/cluster). The router serves the same /v1 API as a
-//     daemon, plus GET /v1/cluster for topology.
+//     internal/cluster). The router serves the daemon's own /v1
+//     handler, plus GET /v1/cluster for topology. It has no queue,
+//     cache, journal or chaos injector, so it refuses -workers,
+//     -queue, -cache-bytes, -job-timeout, -retain, -drain-timeout,
+//     -journal, -journal-sync, -svcchaos and -peers with exit status
+//     2 instead of dropping them.
 //
 // Endpoints (see DESIGN.md "Serving layer"):
 //
@@ -45,7 +49,8 @@
 //	GET    /v1/metrics          obs registry as "name value" lines
 //
 // SIGINT/SIGTERM stops accepting jobs (503), drains queued and
-// running work, then exits 0.
+// running work, then exits 0; a router stops its health probers and
+// exits 0. Both modes run the same serve loop.
 package main
 
 import (
@@ -79,66 +84,130 @@ func main() {
 		journalSync = flag.Bool("journal-sync", false, "fsync every journal append (power-loss durability)")
 		chaosSpec   = flag.String("svcchaos", "", "service chaos profile for testing: off, mild, split, storm, or kill=RATE,stall=RATE:MS,delay=RATE:MS,drop=RATE,partition=RATE:MS,seed=N")
 		peers       = flag.String("peers", "", "comma-separated peer daemon URLs for cluster result read-through")
-		routerSpec  = flag.String("cluster-router", "", "run as a cluster router over shard daemons (see internal/cluster for the config syntax); most daemon flags are ignored")
+		routerSpec  = flag.String("cluster-router", "", "run as a cluster router over shard daemons (see internal/cluster for the config syntax); the daemon-only flags are refused")
 	)
 	flag.Parse()
+	var (
+		srv server
+		err error
+	)
 	if *routerSpec != "" {
-		if err := runRouter(*addr, *routerSpec); err != nil {
-			log.Fatalf("macd: %v", err)
-		}
-		return
-	}
-	profile, err := svcchaos.ParseProfile(*chaosSpec)
-	if err != nil {
-		log.Fatalf("macd: %v", err)
-	}
-	cfg := service.Config{
-		Workers:     *workers,
-		QueueDepth:  *queue,
-		CacheBytes:  *cacheBytes,
-		JobTimeout:  *jobTimeout,
-		RetainJobs:  *retain,
-		JournalDir:  *journalDir,
-		JournalSync: *journalSync,
-	}
-	if *peers != "" {
-		var urls []string
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				urls = append(urls, p)
+		// A router has no queue, cache, journal or chaos injector of
+		// its own: refuse their flags by name rather than drop them.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "workers", "queue", "cache-bytes", "job-timeout", "retain", "drain-timeout",
+				"journal", "journal-sync", "svcchaos", "peers":
+				fmt.Fprintf(os.Stderr, "macd: -%s applies to daemon mode only; drop it or -cluster-router\n", f.Name)
+				os.Exit(2)
 			}
+		})
+		srv, err = router(*routerSpec)
+	} else {
+		cfg := service.Config{
+			Workers:     *workers,
+			QueueDepth:  *queue,
+			CacheBytes:  *cacheBytes,
+			JobTimeout:  *jobTimeout,
+			RetainJobs:  *retain,
+			JournalDir:  *journalDir,
+			JournalSync: *journalSync,
 		}
-		cfg.ResultLookup = cluster.PeerReadThrough(urls)
+		if *peers != "" {
+			var urls []string
+			for _, p := range strings.Split(*peers, ",") {
+				if p = strings.TrimSpace(p); p != "" {
+					urls = append(urls, p)
+				}
+			}
+			cfg.ResultLookup = cluster.PeerReadThrough(urls)
+		}
+		srv, err = daemon(cfg, *chaosSpec, *drainWait)
 	}
-	if err := run(*addr, cfg, profile, *drainWait); err != nil {
+	if err == nil {
+		err = srv.serve(*addr)
+	}
+	if err != nil {
 		log.Fatalf("macd: %v", err)
 	}
 }
 
-func run(addr string, cfg service.Config, profile svcchaos.Profile, drainWait time.Duration) error {
+// server is what one macd process serves: a daemon or a cluster
+// router.
+type server struct {
+	handler http.Handler
+	// listener, when set, wraps the bound listener (the svcchaos
+	// injector's dropped connections).
+	listener func(net.Listener) net.Listener
+	// banner follows the listen line on stdout.
+	banner []string
+	// drain runs on SIGINT/SIGTERM before the HTTP server shuts down;
+	// both share drainWait.
+	drain     func(context.Context) error
+	drainWait time.Duration
+}
+
+// daemon starts the job service (replaying its journal, if any) behind
+// the /v1 API, with the svcchaos profile spec wrapped around both.
+func daemon(cfg service.Config, chaosSpec string, drainWait time.Duration) (server, error) {
+	profile, err := svcchaos.ParseProfile(chaosSpec)
+	if err != nil {
+		return server{}, err
+	}
 	var injector *svcchaos.Injector
 	if profile.Enabled() {
-		var err error
-		injector, err = svcchaos.New(profile)
-		if err != nil {
-			return err
+		if injector, err = svcchaos.New(profile); err != nil {
+			return server{}, err
 		}
 		cfg.WrapRunner = injector.WrapRunner
 	}
 	svc, err := service.New(cfg)
 	if err != nil {
-		return err
+		return server{}, err
 	}
+	srv := server{handler: service.Handler(svc), drain: svc.Drain, drainWait: drainWait}
+	if rec := svc.Recovery(); rec != nil {
+		srv.banner = append(srv.banner, fmt.Sprintf("recovered: %s", rec))
+	}
+	if injector != nil {
+		srv.handler = injector.Middleware(srv.handler)
+		srv.listener = injector.Listener
+		srv.banner = append(srv.banner, fmt.Sprintf("svcchaos enabled: %s", profile))
+	}
+	return srv, nil
+}
+
+// router starts the cluster coordinator: requests are routed to shards
+// instead of executed. Its drain stops the health probers.
+func router(spec string) (server, error) {
+	cfg, err := cluster.ParseConfig(spec)
+	if err != nil {
+		return server{}, err
+	}
+	r, err := cluster.NewRouter(cfg)
+	if err != nil {
+		return server{}, err
+	}
+	return server{
+		handler:   cluster.Handler(r),
+		banner:    []string{fmt.Sprintf("cluster router over %d shards", len(cfg.Shards))},
+		drain:     func(context.Context) error { r.Close(); return nil },
+		drainWait: 10 * time.Second,
+	}, nil
+}
+
+// serve is the serve loop of both modes: it listens on addr, prints
+// the start lines and serves until SIGINT or SIGTERM, then drains and
+// shuts down. It returns nil after a signal.
+func (s server) serve(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	handler := service.Handler(svc)
-	if injector != nil {
-		handler = injector.Middleware(handler)
-		ln = injector.Listener(ln)
+	if s.listener != nil {
+		ln = s.listener(ln)
 	}
-	srv := &http.Server{Handler: handler}
+	srv := &http.Server{Handler: s.handler}
 
 	// Catch signals before announcing the address: a caller that
 	// signals as soon as it reads the listen line must get a drain,
@@ -150,11 +219,8 @@ func run(addr string, cfg service.Config, profile svcchaos.Profile, drainWait ti
 	// address (port 0 resolves to a real port) and, when journaling,
 	// the replay outcome from here. The listen line always comes first.
 	fmt.Printf("macd: listening on %s\n", ln.Addr())
-	if rec := svc.Recovery(); rec != nil {
-		fmt.Printf("macd: recovered: %s\n", rec)
-	}
-	if profile.Enabled() {
-		fmt.Printf("macd: svcchaos enabled: %s\n", profile)
+	for _, line := range s.banner {
+		fmt.Printf("macd: %s\n", line)
 	}
 
 	errc := make(chan error, 1)
@@ -162,13 +228,13 @@ func run(addr string, cfg service.Config, profile svcchaos.Profile, drainWait ti
 	select {
 	case err := <-errc:
 		return err
-	case s := <-sig:
-		log.Printf("macd: %v: draining", s)
+	case sg := <-sig:
+		log.Printf("macd: %v: draining", sg)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), drainWait)
+	ctx, cancel := context.WithTimeout(context.Background(), s.drainWait)
 	defer cancel()
-	if err := svc.Drain(ctx); err != nil {
+	if err := s.drain(ctx); err != nil {
 		// Jobs still running at the deadline keep draining in the
 		// background; report and shut the listener down anyway.
 		log.Printf("macd: %v", err)
@@ -177,46 +243,5 @@ func run(addr string, cfg service.Config, profile svcchaos.Profile, drainWait ti
 		srv.Close()
 	}
 	log.Printf("macd: drained, bye")
-	return nil
-}
-
-// runRouter serves the cluster coordinator: same signal handling and
-// parseable start line as a daemon, but requests are routed to shards
-// instead of executed.
-func runRouter(addr, spec string) error {
-	cfg, err := cluster.ParseConfig(spec)
-	if err != nil {
-		return err
-	}
-	r, err := cluster.NewRouter(cfg)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	srv := &http.Server{Handler: cluster.Handler(r)}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	fmt.Printf("macd: listening on %s\n", ln.Addr())
-	fmt.Printf("macd: cluster router over %d shards\n", len(cfg.Shards))
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case s := <-sig:
-		log.Printf("macd: %v: stopping router", s)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		srv.Close()
-	}
-	log.Printf("macd: router stopped, bye")
 	return nil
 }

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
@@ -384,4 +386,58 @@ func TestDaemonCrashRecovery(t *testing.T) {
 	if fs := final[st.ID]; fs.State != service.StateDone {
 		t.Fatalf("job %s final state %s, want done", st.ID, fs.State)
 	}
+}
+
+// TestRouterRefusesDaemonFlags pins that router mode refuses every
+// daemon-only flag by name (exit 2) instead of serving without it, and
+// creates nothing on disk.
+func TestRouterRefusesDaemonFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the daemon")
+	}
+	bin := buildMacd(t)
+	journal := filepath.Join(t.TempDir(), "j")
+	for _, extra := range [][]string{
+		{"-workers", "8"},
+		{"-queue", "8"},
+		{"-cache-bytes", "1024"},
+		{"-job-timeout", "1m"},
+		{"-retain", "8"},
+		{"-drain-timeout", "1m"},
+		{"-journal", journal},
+		{"-journal-sync"},
+		{"-svcchaos", "storm"},
+		{"-peers", "http://127.0.0.1:1"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		args := append([]string{"-addr", "127.0.0.1:0", "-cluster-router", "shards=http://127.0.0.1:1"}, extra...)
+		out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("macd %v: err %v, want exit status 2\n%s", args, err, out)
+		}
+		if !strings.Contains(string(out), extra[0]) {
+			t.Errorf("macd %v: message does not name %s:\n%s", args, extra[0], out)
+		}
+	}
+	if _, err := os.Stat(journal); err == nil {
+		t.Error("refused router run still created the -journal directory")
+	}
+}
+
+// TestRouterServesAndStops runs router mode through the serve loop: it
+// announces its address, answers /v1/healthz like a daemon and exits 0
+// on SIGTERM.
+func TestRouterServesAndStops(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the router")
+	}
+	c, stop := startDaemon(t, "-cluster-router", "shards=http://127.0.0.1:1")
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if ok, draining, err := c.Healthz(ctx); err != nil || !ok || draining {
+		t.Fatalf("router healthz: ok=%v draining=%v err=%v", ok, draining, err)
+	}
+	stop()
 }

@@ -3,143 +3,43 @@ package cluster
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
-	"strconv"
-	"strings"
 
 	"mac3d/internal/service"
 )
 
-// Handler returns the router's HTTP API. It mirrors the macd daemon
-// surface exactly — a service.Client pointed at a router cannot tell
-// it from a single daemon — plus one cluster-only endpoint:
-//
-//	POST   /v1/jobs             submit (admission-controlled, routed)
-//	GET    /v1/jobs             list router jobs, newest first
-//	GET    /v1/jobs/{id}        one job's status (router ID namespace)
-//	GET    /v1/jobs/{id}/result the finished job's report JSON
-//	DELETE /v1/jobs/{id}        cancel, forwarded to the owning shard
-//	GET    /v1/results/{hash}   cluster-wide content-addressed lookup
-//	GET    /v1/healthz          router liveness + healthy shard count
-//	GET    /v1/metrics          the cluster registry as "name value"
-//	GET    /v1/cluster          topology: shards, health, ring spread
-//
-// Quota rejections answer 429 with a token-deficit Retry-After;
-// cluster saturation (no healthy shard accepted the job) answers 503
-// with a backlog-aware Retry-After.
+// Handler returns the router's HTTP API: the daemon's own /v1 routes
+// (service.Routes), so a service.Client cannot tell a router from a
+// daemon, plus GET /v1/cluster, the topology (shards, health, ring
+// spread).
 func Handler(r *Router) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, req *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(req.Body, 1<<20+1))
-		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("cluster: reading body: %w", err))
-			return
-		}
-		tenant := strings.TrimSpace(req.Header.Get("X-Macd-Tenant"))
-		st, err := r.Submit(req.Context(), body, tenant)
-		if err != nil {
-			switch {
-			case errors.Is(err, ErrQuotaExceeded):
-				w.Header().Set("Retry-After", strconv.Itoa(r.quotaRetryAfter(tenant)))
-				httpError(w, http.StatusTooManyRequests, err)
-			case errors.Is(err, service.ErrQueueFull):
-				// Every shard in the walk was saturated; pace the herd
-				// by cluster backlog.
-				w.Header().Set("Retry-After", strconv.Itoa(r.RetryAfterHint()))
-				httpError(w, http.StatusTooManyRequests, err)
-			case errors.Is(err, ErrNoShards), errors.Is(err, service.ErrDraining), errors.Is(err, service.ErrCircuitOpen):
-				w.Header().Set("Retry-After", strconv.Itoa(r.RetryAfterHint()))
-				httpError(w, http.StatusServiceUnavailable, err)
-			case service.Retryable(err):
-				w.Header().Set("Retry-After", strconv.Itoa(r.RetryAfterHint()))
-				httpError(w, http.StatusServiceUnavailable, err)
-			default:
-				httpError(w, http.StatusBadRequest, err)
-			}
-			return
-		}
-		code := http.StatusAccepted
-		if st.Cached {
-			code = http.StatusOK
-		}
-		writeJSON(w, code, st)
-	})
-	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, r.Jobs())
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, req *http.Request) {
-		st, err := r.Job(req.Context(), req.PathValue("id"))
-		if err != nil {
-			httpError(w, http.StatusNotFound, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}/result", func(w http.ResponseWriter, req *http.Request) {
-		data, err := r.Result(req.Context(), req.PathValue("id"))
-		if err != nil {
-			switch {
-			case errors.Is(err, service.ErrUnknownJob):
-				httpError(w, http.StatusNotFound, err)
-			case errors.Is(err, service.ErrNotFinished):
-				httpError(w, http.StatusConflict, err)
-			case errors.Is(err, ErrNoShards):
-				w.Header().Set("Retry-After", strconv.Itoa(r.RetryAfterHint()))
-				httpError(w, http.StatusServiceUnavailable, err)
-			default:
-				httpError(w, http.StatusUnprocessableEntity, err)
-			}
-			return
-		}
+	mux := service.Routes(r)
+	mux.HandleFunc("GET /v1/cluster", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(data)
-	})
-	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, req *http.Request) {
-		canceled, err := r.Cancel(req.Context(), req.PathValue("id"))
-		if err != nil {
-			if errors.Is(err, service.ErrUnknownJob) {
-				httpError(w, http.StatusNotFound, err)
-				return
-			}
-			httpError(w, http.StatusBadGateway, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]bool{"canceled": canceled})
-	})
-	mux.HandleFunc("GET /v1/results/{hash}", func(w http.ResponseWriter, req *http.Request) {
-		data, ok := r.ResultByHash(req.Context(), req.PathValue("hash"))
-		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("cluster: no stored result for hash %q", req.PathValue("hash")))
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(data)
-	})
-	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"ok":             true,
-			"draining":       false,
-			"shards":         len(r.cfg.Shards),
-			"shards_healthy": r.HealthyShards(),
-		})
-	})
-	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		var b strings.Builder
-		for _, m := range r.reg.Snapshot() {
-			fmt.Fprintf(&b, "%s %g\n", m.Name, m.Value)
-		}
-		io.WriteString(w, b.String())
-	})
-	mux.HandleFunc("GET /v1/cluster", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, r.Topology())
+		json.NewEncoder(w).Encode(r.Topology())
 	})
 	return mux
+}
+
+// Health is the router's /v1/healthz body: it never drains, and it
+// reports how many of its shards are healthy.
+func (r *Router) Health() map[string]any {
+	return map[string]any{
+		"ok":             true,
+		"draining":       false,
+		"shards":         len(r.cfg.Shards),
+		"shards_healthy": r.HealthyShards(),
+	}
+}
+
+// RetryAfter is the Retry-After served with a shed request: the
+// tenant's token deficit on a quota rejection, the cluster backlog
+// hint on anything else.
+func (r *Router) RetryAfter(err error, tenant string) int {
+	if errors.Is(err, ErrQuotaExceeded) {
+		return r.quotaRetryAfter(tenant)
+	}
+	return r.RetryAfterHint()
 }
 
 // ShardInfo is one shard's row in the /v1/cluster topology.
@@ -181,14 +81,4 @@ func (r *Router) Topology() Topology {
 		})
 	}
 	return t
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
 }

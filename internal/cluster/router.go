@@ -12,15 +12,29 @@ import (
 	"mac3d/internal/service"
 )
 
-// Sentinel errors of the router's submission path.
+// Sentinel errors of the router's submission path. Each also matches
+// the service sentinel a client decodes from its HTTP status, so the
+// /v1 handler answers it like a daemon's and errors.Is agrees in
+// process and across the wire.
 var (
 	// ErrNoShards rejects a call because no healthy shard accepted it
-	// (HTTP 503 — the cluster is down or fully saturated).
-	ErrNoShards = errors.New("cluster: no healthy shard available")
+	// (HTTP 503, a service.ErrDraining: the cluster is down or fully
+	// saturated).
+	ErrNoShards error = &classed{"cluster: no healthy shard available", service.ErrDraining}
 	// ErrQuotaExceeded rejects a submission at admission control: the
-	// tenant's token bucket is empty (HTTP 429).
-	ErrQuotaExceeded = errors.New("cluster: tenant quota exceeded")
+	// tenant's token bucket is empty (HTTP 429, a service.ErrQueueFull).
+	ErrQuotaExceeded error = &classed{"cluster: tenant quota exceeded", service.ErrQueueFull}
 )
+
+// classed is a sentinel with its own message that unwraps to the
+// service sentinel of its HTTP status.
+type classed struct {
+	msg   string
+	class error
+}
+
+func (e *classed) Error() string { return e.msg }
+func (e *classed) Unwrap() error { return e.class }
 
 // Router is the cluster coordinator: it owns the consistent-hash ring,
 // the health plane, per-tenant admission control and the job table

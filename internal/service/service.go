@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"time"
 
@@ -241,7 +242,7 @@ func newWithRunner(cfg Config, run RunFunc) (*Service, error) {
 		inflight: make(map[string]*job),
 	}
 	s.registerMetrics()
-	var requeue []*job
+	var requeue chan *job
 	if cfg.JournalDir != "" {
 		var err error
 		requeue, err = s.recover(cfg.JournalDir)
@@ -252,8 +253,8 @@ func newWithRunner(cfg Config, run RunFunc) (*Service, error) {
 	// The queue must hold every re-queued job even when there are more
 	// of them than QueueDepth: recovery re-admits, it never re-rejects.
 	s.queue = make(chan *job, cfg.QueueDepth+len(requeue))
-	for _, j := range requeue {
-		s.queue <- j
+	for len(requeue) > 0 {
+		s.queue <- <-requeue
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -266,7 +267,7 @@ func newWithRunner(cfg Config, run RunFunc) (*Service, error) {
 // the cache under their original job IDs, interrupted jobs are rebuilt
 // and returned for re-queueing (with requeue records on the log), and
 // the journal is re-opened for appending past any truncated damage.
-func (s *Service) recover(dir string) ([]*job, error) {
+func (s *Service) recover(dir string) (chan *job, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, journalFile))
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("service: reading journal: %w", err)
@@ -284,7 +285,8 @@ func (s *Service) recover(dir string) ([]*job, error) {
 	folded, order, rep := foldJournal(recs, damage, jr)
 
 	now := time.Now()
-	var requeue []*job
+	// Room for every replayed job: replay re-admits, it never rejects.
+	requeue := make(chan *job, len(order))
 	for _, id := range order {
 		rj := folded[id]
 		if n := jobSeq(rj.id); n > s.seq {
@@ -293,92 +295,43 @@ func (s *Service) recover(dir string) ([]*job, error) {
 		j := &job{
 			id:        rj.id,
 			hash:      rj.hash,
-			state:     rj.state,
-			errMsg:    rj.errMsg,
+			state:     StateQueued,
 			recovered: true,
 			submitted: now,
 			done:      make(chan struct{}),
 		}
+		s.jobs[j.id] = j
 		if len(rj.spec) > 0 {
 			if spec, err := ParseSpec(rj.spec); err == nil {
 				j.spec = spec
 			} else if !rj.terminal {
 				// A live job whose recorded spec no longer parses (e.g.
 				// written by an incompatible build) cannot be re-run.
-				j.state = StateFailed
-				j.errMsg = fmt.Sprintf("service: recovered spec no longer parses: %v", err)
-				j.finished = now
-				close(j.done)
-				s.jobs[j.id] = j
-				s.retainLocked(j)
-				s.nFailed++
+				s.settleLocked(j, StateFailed, nil,
+					fmt.Sprintf("service: recovered spec no longer parses: %v", err), now, false)
 				rep.Completed++
 				continue
 			}
 		}
 		s.nRecovered++
 		if rj.terminal {
-			j.finished = now
 			if rj.state == StateDone {
-				j.result = rj.result
 				s.cache.put(j.hash, rj.result)
-				s.nCompleted++
-			} else if rj.state == StateFailed {
-				s.nFailed++
-			} else {
-				s.nCanceled++
 			}
-			close(j.done)
-			s.jobs[j.id] = j
-			s.retainLocked(j)
+			s.settleLocked(j, rj.state, rj.result, rj.errMsg, now, false)
 			rep.Completed++
 			continue
 		}
-		// Live at crash time. The restored cache (or the on-disk
-		// store via a sibling's replay) may already hold the result.
-		j.state = StateQueued
+		// Live at crash time: admit it again. The restored cache (or the
+		// on-disk store) may already hold its result, and identical
+		// interrupted specs re-coalesce onto one execution.
 		s.nSubmitted++
-		data, ok := s.cache.get(j.hash)
-		if !ok {
-			// A result file with no terminal record: the crash landed
-			// between the store rename and the journal append. The
-			// bytes are complete (rename-visible) and deterministic,
-			// so serve them rather than re-running.
-			if stored, okDisk := jr.lookupResult(j.hash); okDisk {
-				s.cache.put(j.hash, stored)
-				data, ok = stored, true
-			}
-		}
-		if ok {
-			j.state = StateDone
-			j.cached = true
-			j.result = data
-			j.finished = now
-			close(j.done)
-			s.jobs[j.id] = j
-			s.retainLocked(j)
-			s.nCompleted++
-			jr.append(Record{Op: OpRequeue, Job: j.id, Hash: j.hash})
-			jr.append(s.terminalRecord(j, StateDone, data, ""))
+		s.admitLocked(j, Record{Op: OpRequeue, Job: j.id, Hash: j.hash}, requeue)
+		if j.state.Terminal() {
 			rep.Completed++
-			continue
-		}
-		if p, ok := s.inflight[j.hash]; ok {
-			// Identical interrupted specs re-coalesce: one execution.
-			j.coalesced = true
-			j.primary = p
-			p.followers = append(p.followers, j)
-			s.jobs[j.id] = j
-			s.nCoalesced++
-			jr.append(Record{Op: OpRequeue, Job: j.id, Hash: j.hash})
+		} else {
 			rep.Requeued++
-			continue
 		}
-		s.inflight[j.hash] = j
-		s.jobs[j.id] = j
-		jr.append(Record{Op: OpRequeue, Job: j.id, Hash: j.hash})
-		requeue = append(requeue, j)
-		rep.Requeued++
 	}
 	s.rec = &rep
 	return requeue, nil
@@ -483,48 +436,54 @@ func (s *Service) Submit(spec Spec) (JobStatus, error) {
 		done:      make(chan struct{}),
 	}
 	s.nSubmitted++
-	data, hit := s.cache.get(hash)
+	if !s.admitLocked(j, s.submitRecord(j), s.queue) {
+		return JobStatus{}, ErrQueueFull
+	}
+	return s.statusLocked(j), nil
+}
+
+// admitLocked is the one admission path, for a fresh submission and a
+// job replayed live from the journal alike. A stored result (the
+// cache, then the journal's on-disk store) settles j at once as
+// cached; an identical job in flight takes j as its follower;
+// otherwise j joins queue. rec is j's admission record (submit, or
+// requeue on replay) and precedes any terminal record. When queue is
+// full, j is rejected: counted, unrecorded and forgotten.
+func (s *Service) admitLocked(j *job, rec Record, queue chan<- *job) bool {
+	data, hit := s.cache.get(j.hash)
 	if !hit {
-		// Second-level lookup: the journal's content-addressed store
-		// survives restarts and cache eviction.
-		if stored, ok := s.journal.lookupResult(hash); ok {
-			s.cache.put(hash, stored)
+		// The on-disk store survives restarts and cache eviction, and
+		// holds any result whose terminal record a crash cut off: the
+		// bytes are complete (rename-visible) and deterministic.
+		if stored, ok := s.journal.lookupResult(j.hash); ok {
+			s.cache.put(j.hash, stored)
 			data, hit = stored, true
 		}
 	}
-	if hit {
-		now := j.submitted
-		j.state = StateDone
+	p := s.inflight[j.hash]
+	switch {
+	case hit:
 		j.cached = true
-		j.result = data
-		j.finished = now
-		close(j.done)
-		s.jobs[j.id] = j
-		s.retainLocked(j)
-		s.nCompleted++
-		s.journal.append(s.submitRecord(j))
-		s.journal.append(s.terminalRecord(j, StateDone, data, ""))
-		return s.statusLocked(j), nil
-	}
-	if p, ok := s.inflight[hash]; ok {
+	case p != nil:
 		j.coalesced = true
 		j.primary = p
 		p.followers = append(p.followers, j)
-		s.jobs[j.id] = j
 		s.nCoalesced++
-		s.journal.append(s.submitRecord(j))
-		return s.statusLocked(j), nil
-	}
-	select {
-	case s.queue <- j:
 	default:
-		s.nRejected++
-		return JobStatus{}, ErrQueueFull
+		select {
+		case queue <- j:
+			s.inflight[j.hash] = j
+		default:
+			s.nRejected++
+			return false
+		}
 	}
-	s.inflight[hash] = j
 	s.jobs[j.id] = j
-	s.journal.append(s.submitRecord(j))
-	return s.statusLocked(j), nil
+	s.journal.append(rec)
+	if hit {
+		s.settleLocked(j, StateDone, data, "", j.submitted, true)
+	}
+	return true
 }
 
 // SubmitJSON parses and submits a raw JSON spec (the HTTP body path).
@@ -574,71 +533,57 @@ func (s *Service) runJob(j *job) {
 	// store may already hold this spec's bytes (equal hash means a
 	// byte-identical report), so consult it before paying for the
 	// simulation. The lookup fails fast when peers are down.
+	var o runOutcome
+	peerHit := false
 	if lookup := s.cfg.ResultLookup; lookup != nil {
-		if data, ok := lookup(j.hash); ok {
-			s.mu.Lock()
-			s.nPeerHits++
-			s.mu.Unlock()
-			s.finalize(j, StateDone, data, "")
-			s.mu.Lock()
-			s.busy--
-			s.mu.Unlock()
-			return
+		o.data, peerHit = lookup(j.hash)
+	}
+	if !peerHit {
+		ch := make(chan runOutcome, 1)
+		go func() {
+			data, err := s.run(j.spec)
+			ch <- runOutcome{data, err}
+		}()
+		if s.beforeWait != nil {
+			s.beforeWait(ctx, j.id, ch)
+		}
+		select {
+		case o = <-ch:
+		case <-ctx.Done():
+			// The simulation goroutine cannot be interrupted mid-cycle;
+			// it finishes in the background and its result is discarded
+			// (the buffered channel lets it exit). The worker moves on.
 		}
 	}
-
-	ch := make(chan runOutcome, 1)
-	go func() {
-		data, err := s.run(j.spec)
-		ch <- runOutcome{data, err}
-	}()
-	if s.beforeWait != nil {
-		s.beforeWait(ctx, j.id, ch)
-	}
-	var o runOutcome
-	select {
-	case o = <-ch:
-	case <-ctx.Done():
-		// The simulation goroutine cannot be interrupted mid-cycle;
-		// it finishes in the background and its result is discarded
-		// (the buffered channel lets it exit). The worker moves on.
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.busy--
 	// A cancel or deadline decides the outcome even when the result is
 	// ready too: select picks at random between ready cases, and an
 	// accepted cancel must end the job canceled.
 	switch {
+	case peerHit:
+		s.nPeerHits++
+		s.finalizeLocked(j, StateDone, o.data, "")
 	case errors.Is(o.err, ErrWorkerKilled):
 		// Chaos killed this worker mid-run: leave the job exactly as a
 		// crash would — running, un-finalized, no terminal journal
 		// record. Only a restart's replay re-queues it.
-		s.mu.Lock()
 		s.nKilled++
-		s.mu.Unlock()
 	case errors.Is(ctx.Err(), context.DeadlineExceeded):
-		s.mu.Lock()
 		s.nTimeout++
-		s.mu.Unlock()
-		s.finalize(j, StateFailed, nil,
+		s.finalizeLocked(j, StateFailed, nil,
 			fmt.Sprintf("service: job exceeded the %s timeout", s.cfg.JobTimeout))
 	case ctx.Err() != nil:
-		s.finalize(j, StateCanceled, nil, "service: job canceled")
+		s.finalizeLocked(j, StateCanceled, nil, "service: job canceled")
 	case o.err != nil:
-		s.finalize(j, StateFailed, nil, o.err.Error())
+		s.finalizeLocked(j, StateFailed, nil, o.err.Error())
 	default:
-		s.finalize(j, StateDone, o.data, "")
+		s.finalizeLocked(j, StateDone, o.data, "")
 	}
-	s.mu.Lock()
-	s.busy--
-	s.mu.Unlock()
 }
 
-// finalize moves a job (and its followers) to a terminal state.
-func (s *Service) finalize(j *job, state State, data []byte, errMsg string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.finalizeLocked(j, state, data, errMsg)
-}
-
+// finalizeLocked moves a job (and its followers) to a terminal state.
 func (s *Service) finalizeLocked(j *job, state State, data []byte, errMsg string) {
 	if j.state.Terminal() {
 		return
@@ -653,37 +598,40 @@ func (s *Service) finalizeLocked(j *job, state State, data []byte, errMsg string
 	if !j.started.IsZero() {
 		s.runUs.Observe(uint64(now.Sub(j.started).Microseconds()))
 	}
-	finish := func(x *job) {
-		x.state = state
-		x.result = data
-		x.errMsg = errMsg
-		x.finished = now
-		close(x.done)
-		s.retainLocked(x)
-		switch state {
-		case StateDone:
-			s.nCompleted++
-		case StateFailed:
-			s.nFailed++
-		case StateCanceled:
-			s.nCanceled++
-		}
-		s.journal.append(s.terminalRecord(x, state, data, errMsg))
-	}
-	finish(j)
+	s.settleLocked(j, state, data, errMsg, now, true)
 	for _, f := range j.followers {
-		finish(f)
+		s.settleLocked(f, state, data, errMsg, now, true)
 	}
 	j.followers = nil
 }
 
-// retainLocked records a terminal job and forgets the oldest records
-// beyond the retention bound.
-func (s *Service) retainLocked(j *job) {
+// settleLocked is the one terminal transition: it gives j its final
+// state, result and finish time, releases its waiters, retains its
+// record (forgetting the oldest beyond RetainJobs), counts its outcome
+// and, when record is set, journals it. Replay settles jobs whose
+// terminal record is already on the log (or, for a spec that no longer
+// parses, never was) without writing one.
+func (s *Service) settleLocked(j *job, state State, data []byte, errMsg string, now time.Time, record bool) {
+	j.state = state
+	j.result = data
+	j.errMsg = errMsg
+	j.finished = now
+	close(j.done)
 	s.terminal = append(s.terminal, j.id)
 	for len(s.terminal) > s.cfg.RetainJobs {
 		delete(s.jobs, s.terminal[0])
 		s.terminal = s.terminal[1:]
+	}
+	switch state {
+	case StateDone:
+		s.nCompleted++
+	case StateFailed:
+		s.nFailed++
+	default:
+		s.nCanceled++
+	}
+	if record {
+		s.journal.append(s.terminalRecord(j, state, data, errMsg))
 	}
 }
 
@@ -733,19 +681,13 @@ func (s *Service) Job(id string) (JobStatus, error) {
 // Jobs returns a snapshot of every retained job, newest first.
 func (s *Service) Jobs() []JobStatus {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]JobStatus, 0, len(s.jobs))
 	for _, j := range s.jobs {
 		out = append(out, s.statusLocked(j))
 	}
+	s.mu.Unlock()
 	// Newest first by ID: IDs are zero-padded sequence numbers.
-	for i := 0; i < len(out); i++ {
-		for k := i + 1; k < len(out); k++ {
-			if out[k].ID > out[i].ID {
-				out[i], out[k] = out[k], out[i]
-			}
-		}
-	}
+	sort.Slice(out, func(a, b int) bool { return out[a].ID > out[b].ID })
 	return out
 }
 
@@ -847,21 +789,15 @@ func (s *Service) Cancel(id string) (bool, error) {
 	if j.state.Terminal() {
 		return false, nil
 	}
-	if p := j.primary; p != nil && !j.state.Terminal() {
-		// Detach the follower and finalize it alone.
+	if p := j.primary; p != nil {
+		// Detach the follower and settle it alone.
 		for i, f := range p.followers {
 			if f == j {
 				p.followers = append(p.followers[:i], p.followers[i+1:]...)
 				break
 			}
 		}
-		j.state = StateCanceled
-		j.errMsg = "service: job canceled"
-		j.finished = time.Now()
-		close(j.done)
-		s.retainLocked(j)
-		s.nCanceled++
-		s.journal.append(s.terminalRecord(j, StateCanceled, nil, j.errMsg))
+		s.settleLocked(j, StateCanceled, nil, "service: job canceled", time.Now(), true)
 		return true, nil
 	}
 	if j.state == StateQueued {
