@@ -81,12 +81,14 @@ type Engine struct {
 // stressor. vaults is the device's vault count (targets for transient
 // unavailability); pass 0 to disable the vault stressor.
 func NewEngine(p Profile, vaults int) (*Engine, error) {
+	if !p.Enabled() {
+		// Defaults only touch stressors that are on; skipping them
+		// keeps the disabled path free of allocations.
+		return nil, p.Validate()
+	}
 	p = p.withDefaults()
 	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	if !p.Enabled() {
-		return nil, nil
 	}
 	if vaults <= 0 {
 		p.VaultRate = 0

@@ -16,9 +16,8 @@ package chaos
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
+	"mac3d/internal/kv"
 	"mac3d/internal/sim"
 )
 
@@ -67,7 +66,24 @@ type Profile struct {
 	Seed uint64
 }
 
-// Enabled reports whether any stressor is active.
+// codec declares every stressor of p once: its name, its rate field
+// and its parameter fields with their defaults. ParseProfile,
+// withDefaults and String derive from it.
+func (p *Profile) codec() kv.Profile {
+	return kv.Profile{What: "chaos", Seed: &p.Seed, Stressors: []kv.Stressor{
+		{Name: "delay", Rate: &p.DelayRate, Params: []kv.Param{kv.P(&p.DelayDuration, 16), kv.P(&p.DelayMax, 32)}},
+		{Name: "reorder", Rate: &p.ReorderRate},
+		{Name: "fence", Rate: &p.FenceRate, Params: []kv.Param{kv.P(&p.FenceBurst, 2)}},
+		{Name: "freeze", Rate: &p.FreezeRate, Params: []kv.Param{kv.P(&p.FreezeDuration, 8)}},
+		{Name: "vault", Rate: &p.VaultRate, Params: []kv.Param{kv.P(&p.VaultStall, 32)}},
+		{Name: "link", Rate: &p.LinkRate, Params: []kv.Param{kv.P(&p.LinkStall, 64)}},
+		{Name: "cubelink", Rate: &p.CubeLinkRate, Params: []kv.Param{kv.P(&p.CubeLinkStall, 64)}},
+	}}
+}
+
+// Enabled reports whether any stressor is active. It and Validate are
+// written out rather than derived from codec: they run on every
+// validation of a run config, and building the codec table allocates.
 func (p Profile) Enabled() bool {
 	return p.DelayRate > 0 || p.ReorderRate > 0 || p.FenceRate > 0 ||
 		p.FreezeRate > 0 || p.VaultRate > 0 || p.LinkRate > 0 ||
@@ -77,29 +93,7 @@ func (p Profile) Enabled() bool {
 // withDefaults fills the durations a rate implies but the profile
 // omitted, so `delay=0.01` alone is usable.
 func (p Profile) withDefaults() Profile {
-	if p.DelayRate > 0 {
-		if p.DelayDuration <= 0 {
-			p.DelayDuration = 16
-		}
-		if p.DelayMax <= 0 {
-			p.DelayMax = 32
-		}
-	}
-	if p.FenceRate > 0 && p.FenceBurst <= 0 {
-		p.FenceBurst = 2
-	}
-	if p.FreezeRate > 0 && p.FreezeDuration <= 0 {
-		p.FreezeDuration = 8
-	}
-	if p.VaultRate > 0 && p.VaultStall <= 0 {
-		p.VaultStall = 32
-	}
-	if p.LinkRate > 0 && p.LinkStall <= 0 {
-		p.LinkStall = 64
-	}
-	if p.CubeLinkRate > 0 && p.CubeLinkStall <= 0 {
-		p.CubeLinkStall = 64
-	}
+	p.codec().Defaults()
 	return p
 }
 
@@ -119,18 +113,6 @@ func (p Profile) Validate() error {
 			return fmt.Errorf("chaos: %s rate %g outside [0, 1]", r.name, r.v)
 		}
 	}
-	for _, d := range []struct {
-		name string
-		v    sim.Cycle
-	}{
-		{"delay duration", p.DelayDuration}, {"delay max", p.DelayMax},
-		{"freeze duration", p.FreezeDuration}, {"vault stall", p.VaultStall},
-		{"link stall", p.LinkStall}, {"cube link stall", p.CubeLinkStall},
-	} {
-		if d.v < 0 {
-			return fmt.Errorf("chaos: %s %d is negative", d.name, d.v)
-		}
-	}
 	if p.FenceBurst < 0 {
 		return fmt.Errorf("chaos: fence burst %d is negative", p.FenceBurst)
 	}
@@ -139,37 +121,7 @@ func (p Profile) Validate() error {
 
 // String renders the profile in the canonical ParseProfile syntax;
 // ParseProfile(p.String()) reproduces p exactly (after withDefaults).
-func (p Profile) String() string {
-	if !p.Enabled() {
-		return "off"
-	}
-	var parts []string
-	if p.DelayRate > 0 {
-		parts = append(parts, fmt.Sprintf("delay=%g:%d:%d", p.DelayRate, p.DelayDuration, p.DelayMax))
-	}
-	if p.ReorderRate > 0 {
-		parts = append(parts, fmt.Sprintf("reorder=%g", p.ReorderRate))
-	}
-	if p.FenceRate > 0 {
-		parts = append(parts, fmt.Sprintf("fence=%g:%d", p.FenceRate, p.FenceBurst))
-	}
-	if p.FreezeRate > 0 {
-		parts = append(parts, fmt.Sprintf("freeze=%g:%d", p.FreezeRate, p.FreezeDuration))
-	}
-	if p.VaultRate > 0 {
-		parts = append(parts, fmt.Sprintf("vault=%g:%d", p.VaultRate, p.VaultStall))
-	}
-	if p.LinkRate > 0 {
-		parts = append(parts, fmt.Sprintf("link=%g:%d", p.LinkRate, p.LinkStall))
-	}
-	if p.CubeLinkRate > 0 {
-		parts = append(parts, fmt.Sprintf("cubelink=%g:%d", p.CubeLinkRate, p.CubeLinkStall))
-	}
-	if p.Seed != 0 {
-		parts = append(parts, fmt.Sprintf("seed=%d", p.Seed))
-	}
-	return strings.Join(parts, ",")
-}
+func (p Profile) String() string { return p.codec().String() }
 
 // Presets returns the named built-in profiles, sorted by name.
 func Presets() []string {
@@ -197,8 +149,9 @@ var presets = map[string]Profile{
 	},
 }
 
-// ParseProfile parses the -chaos-profile syntax: either a preset name
-// ("off", "mild", "storm") or a comma-separated stressor list
+// ParseProfile parses the -chaos-profile syntax (see internal/kv):
+// either a preset name ("off", "mild", "storm") or a comma-separated
+// stressor list
 //
 //	delay=RATE[:DURATION[:MAX]],reorder=RATE,fence=RATE[:BURST],
 //	freeze=RATE[:DURATION],vault=RATE[:STALL],link=RATE[:STALL],
@@ -207,127 +160,5 @@ var presets = map[string]Profile{
 // Omitted duration fields take per-stressor defaults. The empty string
 // parses as the disabled profile.
 func ParseProfile(s string) (Profile, error) {
-	var p Profile
-	s = strings.TrimSpace(s)
-	switch s {
-	case "", "off", "none":
-		return p, nil
-	}
-	if preset, ok := presets[s]; ok {
-		return preset.withDefaults(), nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return Profile{}, fmt.Errorf("chaos: %q is not key=value", part)
-		}
-		fields := strings.Split(v, ":")
-		rate, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil && k != "seed" {
-			return Profile{}, fmt.Errorf("chaos: bad %s rate %q: %w", k, fields[0], err)
-		}
-		cyc := func(i int) (sim.Cycle, error) {
-			if i >= len(fields) {
-				return 0, nil
-			}
-			n, err := strconv.ParseInt(fields[i], 10, 64)
-			if err != nil {
-				return 0, fmt.Errorf("chaos: bad %s field %q: %w", k, fields[i], err)
-			}
-			if n < 0 {
-				return 0, fmt.Errorf("chaos: %s field %q is negative", k, fields[i])
-			}
-			return sim.Cycle(n), nil
-		}
-		switch k {
-		case "delay":
-			if len(fields) > 3 {
-				return Profile{}, fmt.Errorf("chaos: delay takes at most rate:duration:max, got %q", v)
-			}
-			p.DelayRate = rate
-			if p.DelayDuration, err = cyc(1); err != nil {
-				return Profile{}, err
-			}
-			if p.DelayMax, err = cyc(2); err != nil {
-				return Profile{}, err
-			}
-		case "reorder":
-			if len(fields) > 1 {
-				return Profile{}, fmt.Errorf("chaos: reorder takes only a rate, got %q", v)
-			}
-			p.ReorderRate = rate
-		case "fence":
-			if len(fields) > 2 {
-				return Profile{}, fmt.Errorf("chaos: fence takes at most rate:burst, got %q", v)
-			}
-			p.FenceRate = rate
-			if len(fields) > 1 {
-				n, err := strconv.Atoi(fields[1])
-				if err != nil {
-					return Profile{}, fmt.Errorf("chaos: bad fence burst %q: %w", fields[1], err)
-				}
-				if n < 0 {
-					return Profile{}, fmt.Errorf("chaos: fence burst %q is negative", fields[1])
-				}
-				p.FenceBurst = n
-			}
-		case "freeze":
-			if len(fields) > 2 {
-				return Profile{}, fmt.Errorf("chaos: freeze takes at most rate:duration, got %q", v)
-			}
-			p.FreezeRate = rate
-			if p.FreezeDuration, err = cyc(1); err != nil {
-				return Profile{}, err
-			}
-		case "vault":
-			if len(fields) > 2 {
-				return Profile{}, fmt.Errorf("chaos: vault takes at most rate:stall, got %q", v)
-			}
-			p.VaultRate = rate
-			if p.VaultStall, err = cyc(1); err != nil {
-				return Profile{}, err
-			}
-		case "link":
-			if len(fields) > 2 {
-				return Profile{}, fmt.Errorf("chaos: link takes at most rate:stall, got %q", v)
-			}
-			p.LinkRate = rate
-			if p.LinkStall, err = cyc(1); err != nil {
-				return Profile{}, err
-			}
-		case "cubelink":
-			if len(fields) > 2 {
-				return Profile{}, fmt.Errorf("chaos: cubelink takes at most rate:stall, got %q", v)
-			}
-			p.CubeLinkRate = rate
-			if p.CubeLinkStall, err = cyc(1); err != nil {
-				return Profile{}, err
-			}
-		case "seed":
-			if len(fields) > 1 {
-				return Profile{}, fmt.Errorf("chaos: seed takes one value, got %q", v)
-			}
-			n, err := strconv.ParseUint(fields[0], 10, 64)
-			if err != nil {
-				return Profile{}, fmt.Errorf("chaos: bad seed %q: %w", fields[0], err)
-			}
-			p.Seed = n
-		default:
-			return Profile{}, fmt.Errorf("chaos: unknown stressor %q (want delay, reorder, fence, freeze, vault, link, cubelink, seed)", k)
-		}
-	}
-	p = p.withDefaults()
-	if err := p.Validate(); err != nil {
-		return Profile{}, err
-	}
-	if !p.Enabled() {
-		// Normalize: a profile with no active stressor (e.g. a dangling
-		// seed, or all rates zero) is the disabled profile.
-		return Profile{}, nil
-	}
-	return p, nil
+	return kv.ParseProfile(s, presets, (*Profile).codec)
 }

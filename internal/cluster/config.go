@@ -33,6 +33,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"mac3d/internal/kv"
 )
 
 // Quota is one tenant's token-bucket admission budget: a sustained
@@ -214,8 +216,13 @@ func (c Config) String() string {
 	return strings.Join(parts, ",")
 }
 
-// ParseConfig parses the -cluster-router syntax: a comma-separated
-// key=value list
+// configGrammar is the cluster config's element set; tenant repeats,
+// one element per tenant.
+var configGrammar = kv.Grammar{What: "cluster", Repeat: "tenant",
+	Keys: []string{"shards", "vnodes", "hb", "jitter", "fail", "readmit", "quota", "tenant", "seed"}}
+
+// ParseConfig parses the -cluster-router syntax (see internal/kv): a
+// comma-separated key=value list
 //
 //	shards=URL|URL|...,vnodes=N,hb=DUR,jitter=F,fail=N,readmit=N,
 //	quota=RATE:BURST,tenant=NAME:RATE:BURST,...,seed=N
@@ -227,90 +234,62 @@ func (c Config) String() string {
 // target holding it to that).
 func ParseConfig(s string) (Config, error) {
 	var c Config
-	sawShards := false
-	for _, part := range strings.Split(strings.TrimSpace(s), ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return Config{}, fmt.Errorf("cluster: %q is not key=value", part)
-		}
+	err := configGrammar.Parse(s, func(k, v string) error {
+		var err error
 		switch k {
 		case "shards":
-			if sawShards {
-				return Config{}, fmt.Errorf("cluster: shards given twice")
-			}
-			sawShards = true
 			for _, u := range strings.Split(v, "|") {
 				u = strings.TrimSpace(u)
 				if u == "" {
-					return Config{}, fmt.Errorf("cluster: empty shard URL in %q", v)
+					return fmt.Errorf("empty shard URL in %q", v)
 				}
 				c.Shards = append(c.Shards, u)
 			}
 		case "vnodes":
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return Config{}, fmt.Errorf("cluster: bad vnodes %q: %w", v, err)
+			if c.VNodes, err = strconv.Atoi(v); err != nil {
+				return fmt.Errorf("bad vnodes %q: %w", v, err)
 			}
-			c.VNodes = n
 		case "hb":
-			d, err := time.ParseDuration(v)
-			if err != nil {
-				return Config{}, fmt.Errorf("cluster: bad heartbeat %q: %w", v, err)
+			if c.Heartbeat, err = time.ParseDuration(v); err != nil {
+				return fmt.Errorf("bad heartbeat %q: %w", v, err)
 			}
-			c.Heartbeat = d
 		case "jitter":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return Config{}, fmt.Errorf("cluster: bad jitter %q: %w", v, err)
-			}
-			c.HeartbeatJitter = f
+			c.HeartbeatJitter, err = kv.Rate(k, v)
 		case "fail":
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return Config{}, fmt.Errorf("cluster: bad fail %q: %w", v, err)
+			if c.FailAfter, err = strconv.Atoi(v); err != nil {
+				return fmt.Errorf("bad fail %q: %w", v, err)
 			}
-			c.FailAfter = n
 		case "readmit":
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return Config{}, fmt.Errorf("cluster: bad readmit %q: %w", v, err)
+			if c.ReadmitAfter, err = strconv.Atoi(v); err != nil {
+				return fmt.Errorf("bad readmit %q: %w", v, err)
 			}
-			c.ReadmitAfter = n
 		case "quota":
-			q, err := parseQuota(v, "quota")
-			if err != nil {
-				return Config{}, err
-			}
-			c.DefaultQuota = q
+			c.DefaultQuota, err = parseQuota(v, "quota")
 		case "tenant":
 			name, rest, ok := strings.Cut(v, ":")
 			if !ok || name == "" {
-				return Config{}, fmt.Errorf("cluster: tenant %q is not NAME:RATE[:BURST]", v)
+				return fmt.Errorf("tenant %q is not NAME:RATE[:BURST]", v)
 			}
 			q, err := parseQuota(rest, "tenant "+name)
 			if err != nil {
-				return Config{}, err
+				return err
 			}
 			if c.Tenants == nil {
 				c.Tenants = make(map[string]Quota)
 			}
 			if _, dup := c.Tenants[name]; dup {
-				return Config{}, fmt.Errorf("cluster: tenant %q given twice", name)
+				return fmt.Errorf("tenant %q given twice", name)
 			}
 			c.Tenants[name] = q
 		case "seed":
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return Config{}, fmt.Errorf("cluster: bad seed %q: %w", v, err)
+			if c.Seed, err = strconv.ParseUint(v, 10, 64); err != nil {
+				return fmt.Errorf("bad seed %q: %w", v, err)
 			}
-			c.Seed = n
-		default:
-			return Config{}, fmt.Errorf("cluster: unknown key %q (want shards, vnodes, hb, jitter, fail, readmit, quota, tenant, seed)", k)
 		}
+		return err
+	})
+	if err != nil {
+		return Config{}, err
 	}
 	c = c.withDefaults()
 	if err := c.Validate(); err != nil {
@@ -323,17 +302,17 @@ func ParseConfig(s string) (Config, error) {
 func parseQuota(v, what string) (Quota, error) {
 	fields := strings.Split(v, ":")
 	if len(fields) > 2 {
-		return Quota{}, fmt.Errorf("cluster: %s %q takes at most RATE:BURST", what, v)
+		return Quota{}, fmt.Errorf("%s %q takes at most RATE:BURST", what, v)
 	}
 	rate, err := strconv.ParseFloat(fields[0], 64)
 	if err != nil {
-		return Quota{}, fmt.Errorf("cluster: bad %s rate %q: %w", what, fields[0], err)
+		return Quota{}, fmt.Errorf("bad %s rate %q: %w", what, fields[0], err)
 	}
 	q := Quota{Rate: rate}
 	if len(fields) == 2 {
 		burst, err := strconv.ParseFloat(fields[1], 64)
 		if err != nil {
-			return Quota{}, fmt.Errorf("cluster: bad %s burst %q: %w", what, fields[1], err)
+			return Quota{}, fmt.Errorf("bad %s burst %q: %w", what, fields[1], err)
 		}
 		q.Burst = burst
 	}

@@ -2,9 +2,10 @@ package coalesce
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
+
+	"mac3d/internal/kv"
 )
 
 // Tuning is the parsed form of the frontend tuning string accepted by
@@ -33,79 +34,57 @@ type Tuning struct {
 // maxTuningLen bounds the accepted tuning string.
 const maxTuningLen = 256
 
-// ParseTuning parses a frontend tuning string. The empty string is the
-// zero Tuning. Syntax and range errors are reported; semantic
-// constraints (power-of-two lane counts, cache geometry) are enforced
-// by the frontend configs the tuning is applied to.
+// tuningGrammar is the tuning string's element set.
+var tuningGrammar = kv.Grammar{What: "coalesce: tuning",
+	Keys: []string{"lanes", "warps", "split", "cache", "line", "ways"}}
+
+// ParseTuning parses a frontend tuning string (see internal/kv). The
+// empty string is the zero Tuning. Syntax and range errors are
+// reported; semantic constraints (power-of-two lane counts, cache
+// geometry) are enforced by the frontend configs the tuning is applied
+// to.
 func ParseTuning(s string) (Tuning, error) {
 	var t Tuning
-	if s == "" {
-		return t, nil
-	}
 	if len(s) > maxTuningLen {
 		return t, fmt.Errorf("coalesce: tuning string longer than %d bytes", maxTuningLen)
 	}
-	seen := make(map[string]bool, 6)
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		key, val, ok := strings.Cut(part, "=")
-		if !ok || key == "" || val == "" {
-			return Tuning{}, fmt.Errorf("coalesce: tuning %q: want key=value, got %q", s, part)
-		}
-		if seen[key] {
-			return Tuning{}, fmt.Errorf("coalesce: tuning %q: duplicate key %q", s, key)
-		}
-		seen[key] = true
-		switch key {
-		case "lanes":
-			n, err := parseTuningInt(key, val, 1<<16)
-			if err != nil {
-				return Tuning{}, err
-			}
-			t.Lanes = n
-		case "warps":
-			n, err := parseTuningInt(key, val, 1<<16)
-			if err != nil {
-				return Tuning{}, err
-			}
-			t.Warps = n
+	err := tuningGrammar.Parse(s, func(k, v string) error {
+		switch k {
 		case "split":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || math.IsNaN(f) || f < 0 || f > 1 {
-				return Tuning{}, fmt.Errorf("coalesce: tuning split=%q: want a fraction in [0, 1]", val)
+			f, err := kv.Rate(k, v)
+			if err != nil {
+				return err
 			}
 			t.Split, t.SplitSet = f, true
+			return nil
 		case "cache":
-			n, err := strconv.ParseUint(val, 10, 64)
+			n, err := strconv.ParseUint(v, 10, 64)
 			if err != nil || n == 0 || n > 1<<32 {
-				return Tuning{}, fmt.Errorf("coalesce: tuning cache=%q: want bytes in [1, 2^32]", val)
+				return fmt.Errorf("cache=%q: want bytes in [1, 2^32]", v)
 			}
 			t.CacheBytes = n
+			return nil
+		}
+		n, err := kv.Int(k, v, 1, 1<<16)
+		if err != nil {
+			return err
+		}
+		switch k {
+		case "lanes":
+			t.Lanes = int(n)
+		case "warps":
+			t.Warps = int(n)
 		case "line":
-			n, err := parseTuningInt(key, val, 1<<16)
-			if err != nil {
-				return Tuning{}, err
-			}
 			t.LineBytes = uint32(n)
 		case "ways":
-			n, err := parseTuningInt(key, val, 1<<16)
-			if err != nil {
-				return Tuning{}, err
-			}
-			t.Ways = n
-		default:
-			return Tuning{}, fmt.Errorf("coalesce: tuning %q: unknown key %q (have lanes, warps, split, cache, line, ways)", s, key)
+			t.Ways = int(n)
 		}
+		return nil
+	})
+	if err != nil {
+		return Tuning{}, err
 	}
 	return t, nil
-}
-
-func parseTuningInt(key, val string, hi int) (int, error) {
-	n, err := strconv.Atoi(val)
-	if err != nil || n <= 0 || n > hi {
-		return 0, fmt.Errorf("coalesce: tuning %s=%q: want an integer in [1, %d]", key, val, hi)
-	}
-	return n, nil
 }
 
 // String renders the tuning in canonical form: set keys only, fixed

@@ -10,7 +10,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"mac3d/internal/chaos"
@@ -39,11 +38,6 @@ type Options struct {
 	// Progress, when non-nil, receives one line per completed run;
 	// it must be safe for concurrent use when Parallel > 1.
 	Progress func(msg string)
-}
-
-// DefaultOptions returns the Small-scale full-benchmark campaign.
-func DefaultOptions() Options {
-	return Options{Scale: workloads.Small, Seed: 1, Benchmarks: workloads.PaperSet()}
 }
 
 func (o Options) withDefaults() Options {
@@ -312,14 +306,4 @@ func (s *Suite) MACWithWindow(name string, threads int, window uint32, hbm bool)
 // alone: raw requests in versus transactions out.
 func coalescingEfficiency(res *cpu.Result) float64 {
 	return res.Coalescer.CoalescingEfficiency()
-}
-
-// sortedSizes returns the keys of a size histogram in ascending order.
-func sortedSizes(m map[uint32]uint64) []uint32 {
-	out := make([]uint32, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

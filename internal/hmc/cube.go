@@ -33,9 +33,9 @@ package hmc
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
+	"mac3d/internal/kv"
 	"mac3d/internal/noc"
 	"mac3d/internal/sim"
 )
@@ -82,12 +82,6 @@ type CubeConfig struct {
 	// way, of a request whose vault lies outside its ingress link's
 	// quadrant (key "quad"; default 0).
 	QuadrantPenalty sim.Cycle
-}
-
-// DefaultCubeConfig returns the pre-fabric cube: ideal switch, closed
-// page, no quadrant effect.
-func DefaultCubeConfig() CubeConfig {
-	return CubeConfig{Topology: noc.Ideal, PagePolicy: PageClosed}
 }
 
 // WithDefaults canonicalizes names and fills the unset routed-fabric
@@ -213,7 +207,13 @@ func (c CubeConfig) String() string {
 	return strings.Join(parts, ",")
 }
 
-// ParseCubeConfig parses the CLI/flag/spec syntax for the cube block:
+// cubeGrammar is the cube block's element set: the topology, then
+// key=value elements.
+var cubeGrammar = kv.Grammar{What: "hmc: cube", Head: "topology",
+	Keys: []string{"hop", "bw", "buf", "inject", "cols", "page", "quad"}}
+
+// ParseCubeConfig parses the CLI/flag/spec syntax for the cube block
+// (see internal/kv):
 //
 //	TOPOLOGY[,key=value...]
 //
@@ -226,74 +226,51 @@ func (c CubeConfig) String() string {
 // and anything it accepts passes Validate for the Table 1 device.
 func ParseCubeConfig(s string) (CubeConfig, error) {
 	var c CubeConfig
-	fields := strings.Split(s, ",")
-	c.Topology = strings.ToLower(strings.TrimSpace(fields[0]))
-	switch c.Topology {
-	case "", noc.Ideal, "crossbar", "xbar", noc.Ring, noc.Mesh:
-	default:
-		return CubeConfig{}, fmt.Errorf("hmc: unknown cube topology %q (want ideal, crossbar, ring or mesh)", c.Topology)
-	}
-	for _, part := range fields[1:] {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return CubeConfig{}, fmt.Errorf("hmc: cube %q is not key=value", part)
-		}
-		k = strings.TrimSpace(k)
-		v = strings.TrimSpace(v)
-		if k == "page" {
-			switch strings.ToLower(v) {
-			case PageClosed, PageOpen:
-				c.PagePolicy = strings.ToLower(v)
-			default:
-				return CubeConfig{}, fmt.Errorf("hmc: unknown cube page policy %q (want closed or open)", v)
+	err := cubeGrammar.Parse(s, func(k, v string) error {
+		switch k {
+		case "topology":
+			c.Topology = strings.ToLower(v)
+			switch c.Topology {
+			case noc.Ideal, "crossbar", "xbar", noc.Ring, noc.Mesh:
+				return nil
 			}
-			continue
+			return fmt.Errorf("unknown topology %q (want ideal, crossbar, ring or mesh)", c.Topology)
+		case "page":
+			c.PagePolicy = strings.ToLower(v)
+			if c.PagePolicy != PageClosed && c.PagePolicy != PageOpen {
+				return fmt.Errorf("unknown page policy %q (want closed or open)", v)
+			}
+			return nil
 		}
-		n, err := strconv.ParseInt(v, 10, 64)
+		hi := int64(1 << 20)
+		switch k {
+		case "bw":
+			hi = 64 // flits/cycle, the noc bound
+		case "cols":
+			hi = 1024
+		}
+		n, err := kv.Int(k, v, 0, hi)
 		if err != nil {
-			return CubeConfig{}, fmt.Errorf("hmc: bad cube %s value %q: %w", k, v, err)
-		}
-		if n < 0 {
-			return CubeConfig{}, fmt.Errorf("hmc: cube %s value %d is negative", k, n)
+			return err
 		}
 		switch k {
 		case "hop":
-			if n > 1<<20 {
-				return CubeConfig{}, fmt.Errorf("hmc: cube hop %d exceeds the 2^20 bound", n)
-			}
 			c.HopCycles = sim.Cycle(n)
 		case "bw":
-			if n > 64 {
-				return CubeConfig{}, fmt.Errorf("hmc: cube bw %d exceeds the 64 flits/cycle bound", n)
-			}
 			c.LinkBandwidth = int(n)
 		case "buf":
-			if n > 1<<20 {
-				return CubeConfig{}, fmt.Errorf("hmc: cube buf %d exceeds the 2^20 bound", n)
-			}
 			c.BufferFlits = int(n)
 		case "inject":
-			if n > 1<<20 {
-				return CubeConfig{}, fmt.Errorf("hmc: cube inject %d exceeds the 2^20 bound", n)
-			}
 			c.InjectDepth = int(n)
 		case "cols":
-			if n > 1024 {
-				return CubeConfig{}, fmt.Errorf("hmc: cube cols %d exceeds the 1024 bound", n)
-			}
 			c.MeshCols = int(n)
 		case "quad":
-			if n > 1<<20 {
-				return CubeConfig{}, fmt.Errorf("hmc: cube quad %d exceeds the 2^20 bound", n)
-			}
 			c.QuadrantPenalty = sim.Cycle(n)
-		default:
-			return CubeConfig{}, fmt.Errorf("hmc: unknown cube key %q (want hop, bw, buf, inject, cols, page or quad)", k)
 		}
+		return nil
+	})
+	if err != nil {
+		return CubeConfig{}, err
 	}
 	c = c.WithDefaults()
 	if !c.Routed() {
@@ -538,61 +515,21 @@ func (d *Device) cubePump(t sim.Cycle) {
 func (d *Device) cubeDeliver(t sim.Cycle, i int32) {
 	c := d.cube
 	if p := &c.msgs[i]; !p.isResp {
-		// Request reached its vault: controller decode, FCFS issue
-		// (past any refresh window), then the DRAM access. The
-		// response crosses back once the data is ready.
-		arrive := t + d.cfg.ReqPipeline
-		issue := max(arrive, d.vaultFree[p.vault])
-		issue = d.afterRefresh(p.vault, issue)
-		d.vaultFree[p.vault] = issue + 1
-		dataReady, conflicted := d.bankAccess(p.req, issue)
+		// Request reached its vault: controller decode, then the vault
+		// access. The response crosses back once the data is ready.
+		dataReady, conflicted := d.vaultAccess(p.req, p.vault, t+d.cfg.ReqPipeline)
 		p.isResp = true
 		p.conflicted = conflicted
 		d.cubeEnqueue(d.cfg.Links+p.vault, dataReady+d.quadPenalty(p.link, p.vault), i)
 		return
 	}
+	// Response back at its ingress link: the rest mirrors the direct
+	// path from dataReady on. A dropped response's vault-queue slot
+	// leaks there too.
 	p := c.msgs[i]
 	c.free = append(c.free, i)
-	// Response back at its ingress link: external serialization and the
-	// return pipeline, mirroring the direct path from dataReady on.
-	respSer := sim.Cycle(p.req.ResponseFlits()) * d.cfg.FlitCycles
-	respStart := max(t, d.respLinkFree[p.link])
-	poisoned := false
-	if d.faultsOn {
-		var delivered bool
-		respStart, delivered = d.transmit(respStart, respSer)
-		poisoned = !delivered
-	}
-	d.respLinkFree[p.link] = respStart + respSer
-	done := respStart + respSer + d.cfg.RespPipeline
-
-	d.st.Latency.Observe(uint64(done - p.submitted))
-	if done > d.st.LastDone {
-		d.st.LastDone = done
-	}
 	c.inFlight--
-	if p.drop {
-		// Lost response: the access happened, but the host never hears
-		// back. The vault-queue slot leaks, exactly as on the direct
-		// path.
-		d.st.DroppedResponses++
-		return
-	}
-	if poisoned {
-		d.st.PoisonedResponses++
-	}
-	d.pushResponse(Response{
-		Tag:        p.req.Tag,
-		Addr:       p.req.Addr,
-		Kind:       p.req.Kind,
-		Data:       p.req.Data,
-		Submitted:  p.submitted,
-		Done:       done,
-		Conflicted: p.conflicted,
-		Poisoned:   poisoned,
-		vault:      p.vault,
-		link:       p.link,
-	})
+	d.respond(p.req, p.link, p.vault, p.submitted, t, p.conflicted, p.drop)
 }
 
 // CubeLinks returns the routed cube fabric's directed link count, or 0

@@ -308,23 +308,30 @@ func (d *Device) Submit(req Request, now sim.Cycle) {
 	}
 
 	// Ideal cube: the switch crossing is the fixed ReqPipeline, plus
-	// any quadrant-locality penalty.
+	// any quadrant-locality penalty each way.
 	quad := d.quadPenalty(link, vault)
-	arrive := reqStart + reqSer + quad + d.cfg.ReqPipeline
+	d.vaultPending[vault]++
+	dataReady, conflicted := d.vaultAccess(req, vault, reqStart+reqSer+quad+d.cfg.ReqPipeline)
+	d.respond(req, link, vault, now, dataReady+quad, conflicted, drop)
+}
 
-	// 3. Vault controller FCFS issue (one decode per cycle),
-	// pushed past any refresh window in progress.
+// vaultAccess serves req at its vault once it arrives: vault
+// controller FCFS issue (one decode per cycle), pushed past any
+// refresh window in progress, then the bank access under the
+// configured page policy. It returns bankAccess's results.
+func (d *Device) vaultAccess(req Request, vault int, arrive sim.Cycle) (dataReady sim.Cycle, conflicted bool) {
 	issue := max(arrive, d.vaultFree[vault])
 	issue = d.afterRefresh(vault, issue)
 	d.vaultFree[vault] = issue + 1
-	d.vaultPending[vault]++
+	return d.bankAccess(req, issue)
+}
 
-	// 4. Bank access under the configured page policy.
-	dataReady, conflicted := d.bankAccess(req, issue)
-
-	// 5. Response serialization and return pipeline.
+// respond returns req's response over its ingress link from cycle
+// ready on: response serialization with link-level retry, then the
+// return pipeline.
+func (d *Device) respond(req Request, link, vault int, submitted, ready sim.Cycle, conflicted, drop bool) {
 	respSer := sim.Cycle(req.ResponseFlits()) * d.cfg.FlitCycles
-	respStart := max(dataReady+quad, d.respLinkFree[link])
+	respStart := max(ready, d.respLinkFree[link])
 	poisoned := false
 	if d.faultsOn {
 		var delivered bool
@@ -334,30 +341,32 @@ func (d *Device) Submit(req Request, now sim.Cycle) {
 		poisoned = !delivered
 	}
 	d.respLinkFree[link] = respStart + respSer
-	done := respStart + respSer + d.cfg.RespPipeline
+	d.finish(req, link, vault, submitted, respStart+respSer+d.cfg.RespPipeline, conflicted, poisoned, drop)
+}
 
-	d.st.Latency.Observe(uint64(done - now))
+// finish records the latency of a response done at cycle done and
+// pushes it for Tick to deliver, unless it is dropped.
+func (d *Device) finish(req Request, link, vault int, submitted, done sim.Cycle, conflicted, poisoned, drop bool) {
+	d.st.Latency.Observe(uint64(done - submitted))
 	if done > d.st.LastDone {
 		d.st.LastDone = done
 	}
-
 	if drop {
-		// Lost response: the access happened, but the host never
-		// hears back. The vault-queue slot and link token leak —
-		// exactly how a real lost packet starves its submitter.
+		// Lost response: the host never hears back, and the
+		// vault-queue slot (if any) and link token leak — exactly
+		// how a real lost packet starves its submitter.
 		d.st.DroppedResponses++
 		return
 	}
 	if poisoned {
 		d.st.PoisonedResponses++
 	}
-
 	d.pending.Push(Response{
 		Tag:        req.Tag,
 		Addr:       req.Addr,
 		Kind:       req.Kind,
 		Data:       req.Data,
-		Submitted:  now,
+		Submitted:  submitted,
 		Done:       done,
 		Conflicted: conflicted,
 		Poisoned:   poisoned,
@@ -417,9 +426,6 @@ func (d *Device) bankAccess(req Request, issue sim.Cycle) (dataReady sim.Cycle, 
 	return dataReady, conflicted
 }
 
-// pushResponse enqueues a completed response for Tick to deliver.
-func (d *Device) pushResponse(r Response) { d.pending.Push(r) }
-
 // poisonResponse emits the error response for a request abandoned on
 // the request path: no vault or bank was touched; the host hears a
 // header-only error packet once the retry budget is exhausted.
@@ -427,28 +433,7 @@ func (d *Device) poisonResponse(req Request, link int, now, lastAttempt sim.Cycl
 	errSer := d.cfg.FlitCycles // header-only error response
 	respStart := max(lastAttempt+d.cfg.ReqPipeline, d.respLinkFree[link])
 	d.respLinkFree[link] = respStart + errSer
-	done := respStart + errSer + d.cfg.RespPipeline
-
-	d.st.Latency.Observe(uint64(done - now))
-	if done > d.st.LastDone {
-		d.st.LastDone = done
-	}
-	if drop {
-		d.st.DroppedResponses++
-		return
-	}
-	d.st.PoisonedResponses++
-	d.pending.Push(Response{
-		Tag:       req.Tag,
-		Addr:      req.Addr,
-		Kind:      req.Kind,
-		Data:      req.Data,
-		Submitted: now,
-		Done:      done,
-		Poisoned:  true,
-		vault:     -1,
-		link:      link,
-	})
+	d.finish(req, link, -1, now, respStart+errSer+d.cfg.RespPipeline, false, true, drop)
 }
 
 // afterRefresh returns the earliest cycle at or after t at which the

@@ -32,7 +32,7 @@ type Target struct {
 	// Flit is the first requested FLIT id within the coalescing
 	// window: 0–15 for the paper's 256B window, up to 31 (512B) or 63
 	// (1KB) under the §4.3 wide windows. The hardware field widens
-	// with the window — see TargetBytesFor.
+	// with the window.
 	Flit uint8
 	// Cont marks the continuation half of a raw request that was
 	// split at a coalescing-window boundary. The response router must
@@ -58,24 +58,8 @@ func (t Target) Validate(windowBytes uint32) error {
 
 // TargetBytes is the hardware size of one buffered target at the
 // paper's 256B coalescing window (§4.1.1: 2B thread + 2B tag + 4b
-// FLIT id). For wide windows use TargetBytesFor.
+// FLIT id).
 const TargetBytes = 4.5
-
-// TargetBytesFor returns the hardware size of one buffered target for
-// a coalescing window: the FLIT-id field grows from 4 bits (256B, 16
-// FLITs) to 5 (512B) or 6 (1KB) bits. 0 means 256.
-func TargetBytesFor(windowBytes uint32) float64 {
-	switch windowBytes {
-	case 0, 256:
-		return 4.5 // 4-bit FLIT id
-	case 512:
-		return 4.625 // 5-bit FLIT id
-	case 1024:
-		return 4.75 // 6-bit FLIT id
-	default:
-		panic(fmt.Sprintf("memreq: no target layout for %dB window", windowBytes))
-	}
-}
 
 // RawRequest is one memory operation as it leaves a core.
 type RawRequest struct {

@@ -36,11 +36,6 @@ import (
 	"mac3d/internal/stats"
 )
 
-// FlitBytes is the FLIT granularity of link serialization: the 16B
-// FLIT of the HMC protocol (internal/memreq uses the same sizing for
-// the coalescing window maps).
-const FlitBytes = 16
-
 // MaxMessageFlits bounds one message's size. The NUMA fabric's
 // messages are at most two flits (one 16B header plus at most 16B of
 // data); the bound is what the ring's critical-bubble reserve and the

@@ -13,16 +13,14 @@
 package svcchaos
 
 import (
-	"fmt"
 	"math/rand"
 	"net"
 	"net/http"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
+	"mac3d/internal/kv"
 	"mac3d/internal/service"
 )
 
@@ -58,80 +56,35 @@ type Profile struct {
 	Seed uint64
 }
 
-// Enabled reports whether any stressor is active.
-func (p Profile) Enabled() bool {
-	return p.KillRate > 0 || p.StallRate > 0 || p.DelayRate > 0 || p.DropRate > 0 || p.PartitionRate > 0
+// codec declares every stressor of p once: its name, its rate field
+// and its parameter fields with their defaults. Parsing,
+// withDefaults, validation and rendering all derive from it.
+func (p *Profile) codec() kv.Profile {
+	return kv.Profile{What: "svcchaos", Seed: &p.Seed, Stressors: []kv.Stressor{
+		{Name: "kill", Rate: &p.KillRate},
+		{Name: "stall", Rate: &p.StallRate, Params: []kv.Param{kv.P(&p.StallMs, 50)}},
+		{Name: "delay", Rate: &p.DelayRate, Params: []kv.Param{kv.P(&p.DelayMs, 20)}},
+		{Name: "drop", Rate: &p.DropRate},
+		{Name: "partition", Rate: &p.PartitionRate, Params: []kv.Param{kv.P(&p.PartitionMs, 100)}},
+	}}
 }
+
+// Enabled reports whether any stressor is active.
+func (p Profile) Enabled() bool { return p.codec().Enabled() }
 
 // withDefaults fills the durations a rate implies but the profile
 // omitted, so `stall=0.2` alone is usable.
 func (p Profile) withDefaults() Profile {
-	if p.StallRate > 0 && p.StallMs <= 0 {
-		p.StallMs = 50
-	}
-	if p.DelayRate > 0 && p.DelayMs <= 0 {
-		p.DelayMs = 20
-	}
-	if p.PartitionRate > 0 && p.PartitionMs <= 0 {
-		p.PartitionMs = 100
-	}
+	p.codec().Defaults()
 	return p
 }
 
 // Validate rejects out-of-range configurations.
-func (p Profile) Validate() error {
-	for _, r := range []struct {
-		name string
-		v    float64
-	}{
-		{"kill", p.KillRate}, {"stall", p.StallRate},
-		{"delay", p.DelayRate}, {"drop", p.DropRate},
-		{"partition", p.PartitionRate},
-	} {
-		// The inverted comparison also rejects NaN rates.
-		if !(r.v >= 0 && r.v <= 1) {
-			return fmt.Errorf("svcchaos: %s rate %g outside [0, 1]", r.name, r.v)
-		}
-	}
-	if p.StallMs < 0 {
-		return fmt.Errorf("svcchaos: stall ms %d is negative", p.StallMs)
-	}
-	if p.DelayMs < 0 {
-		return fmt.Errorf("svcchaos: delay ms %d is negative", p.DelayMs)
-	}
-	if p.PartitionMs < 0 {
-		return fmt.Errorf("svcchaos: partition ms %d is negative", p.PartitionMs)
-	}
-	return nil
-}
+func (p Profile) Validate() error { return p.codec().Validate() }
 
 // String renders the profile in the canonical ParseProfile syntax;
 // ParseProfile(p.String()) reproduces p exactly (after withDefaults).
-func (p Profile) String() string {
-	if !p.Enabled() {
-		return "off"
-	}
-	var parts []string
-	if p.KillRate > 0 {
-		parts = append(parts, fmt.Sprintf("kill=%g", p.KillRate))
-	}
-	if p.StallRate > 0 {
-		parts = append(parts, fmt.Sprintf("stall=%g:%d", p.StallRate, p.StallMs))
-	}
-	if p.DelayRate > 0 {
-		parts = append(parts, fmt.Sprintf("delay=%g:%d", p.DelayRate, p.DelayMs))
-	}
-	if p.DropRate > 0 {
-		parts = append(parts, fmt.Sprintf("drop=%g", p.DropRate))
-	}
-	if p.PartitionRate > 0 {
-		parts = append(parts, fmt.Sprintf("partition=%g:%d", p.PartitionRate, p.PartitionMs))
-	}
-	if p.Seed != 0 {
-		parts = append(parts, fmt.Sprintf("seed=%d", p.Seed))
-	}
-	return strings.Join(parts, ",")
-}
+func (p Profile) String() string { return p.codec().String() }
 
 // Presets returns the named built-in profiles, sorted by name.
 func Presets() []string {
@@ -164,108 +117,16 @@ var presets = map[string]Profile{
 	},
 }
 
-// ParseProfile parses the -svcchaos syntax: either a preset name
-// ("off", "mild", "storm", "split") or a comma-separated stressor list
+// ParseProfile parses the -svcchaos syntax (see internal/kv): either a
+// preset name ("off", "mild", "storm", "split") or a comma-separated
+// stressor list
 //
 //	kill=RATE,stall=RATE[:MS],delay=RATE[:MS],drop=RATE,partition=RATE[:MS],seed=N
 //
 // Omitted duration fields take per-stressor defaults. The empty string
 // parses as the disabled profile.
 func ParseProfile(s string) (Profile, error) {
-	var p Profile
-	s = strings.TrimSpace(s)
-	switch s {
-	case "", "off", "none":
-		return p, nil
-	}
-	if preset, ok := presets[s]; ok {
-		return preset.withDefaults(), nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return Profile{}, fmt.Errorf("svcchaos: %q is not key=value", part)
-		}
-		fields := strings.Split(v, ":")
-		rate, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil && k != "seed" {
-			return Profile{}, fmt.Errorf("svcchaos: bad %s rate %q: %w", k, fields[0], err)
-		}
-		ms := func(i int) (int, error) {
-			if i >= len(fields) {
-				return 0, nil
-			}
-			n, err := strconv.Atoi(fields[i])
-			if err != nil {
-				return 0, fmt.Errorf("svcchaos: bad %s field %q: %w", k, fields[i], err)
-			}
-			if n < 0 {
-				return 0, fmt.Errorf("svcchaos: %s field %q is negative", k, fields[i])
-			}
-			return n, nil
-		}
-		switch k {
-		case "kill":
-			if len(fields) > 1 {
-				return Profile{}, fmt.Errorf("svcchaos: kill takes only a rate, got %q", v)
-			}
-			p.KillRate = rate
-		case "stall":
-			if len(fields) > 2 {
-				return Profile{}, fmt.Errorf("svcchaos: stall takes at most rate:ms, got %q", v)
-			}
-			p.StallRate = rate
-			if p.StallMs, err = ms(1); err != nil {
-				return Profile{}, err
-			}
-		case "delay":
-			if len(fields) > 2 {
-				return Profile{}, fmt.Errorf("svcchaos: delay takes at most rate:ms, got %q", v)
-			}
-			p.DelayRate = rate
-			if p.DelayMs, err = ms(1); err != nil {
-				return Profile{}, err
-			}
-		case "drop":
-			if len(fields) > 1 {
-				return Profile{}, fmt.Errorf("svcchaos: drop takes only a rate, got %q", v)
-			}
-			p.DropRate = rate
-		case "partition":
-			if len(fields) > 2 {
-				return Profile{}, fmt.Errorf("svcchaos: partition takes at most rate:ms, got %q", v)
-			}
-			p.PartitionRate = rate
-			if p.PartitionMs, err = ms(1); err != nil {
-				return Profile{}, err
-			}
-		case "seed":
-			if len(fields) > 1 {
-				return Profile{}, fmt.Errorf("svcchaos: seed takes one value, got %q", v)
-			}
-			n, err := strconv.ParseUint(fields[0], 10, 64)
-			if err != nil {
-				return Profile{}, fmt.Errorf("svcchaos: bad seed %q: %w", fields[0], err)
-			}
-			p.Seed = n
-		default:
-			return Profile{}, fmt.Errorf("svcchaos: unknown stressor %q (want kill, stall, delay, drop, partition, seed)", k)
-		}
-	}
-	p = p.withDefaults()
-	if err := p.Validate(); err != nil {
-		return Profile{}, err
-	}
-	if !p.Enabled() {
-		// Normalize: a profile with no active stressor (e.g. a dangling
-		// seed, or all rates zero) is the disabled profile.
-		return Profile{}, nil
-	}
-	return p, nil
+	return kv.ParseProfile(s, presets, (*Profile).codec)
 }
 
 // Report counts what the injector actually did.

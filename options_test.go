@@ -198,3 +198,17 @@ func TestMicroKernelsThroughFacade(t *testing.T) {
 		t.Fatalf("stream only coalesced %v", stream.CoalescingEfficiency)
 	}
 }
+
+// TestValidateAllocations pins the allocations of validating a default
+// run: every macd submit validates a spec whose config strings are
+// empty, and lexing them must not add to that.
+func TestValidateAllocations(t *testing.T) {
+	o := RunOptions{Workload: "sg"}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := o.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Fatalf("Validate allocates %v times, want at most 2", n)
+	}
+}
