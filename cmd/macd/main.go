@@ -116,9 +116,12 @@ func main() {
 		if *peers != "" {
 			var urls []string
 			for _, p := range strings.Split(*peers, ",") {
-				if p = strings.TrimSpace(p); p != "" {
-					urls = append(urls, p)
+				p = strings.TrimSpace(p)
+				if err := cluster.ValidateShardURL(p); err != nil {
+					fmt.Fprintf(os.Stderr, "macd: -peers: %v\n", err)
+					os.Exit(2)
 				}
+				urls = append(urls, p)
 			}
 			cfg.ResultLookup = cluster.PeerReadThrough(urls)
 		}

@@ -426,6 +426,29 @@ func TestRouterRefusesDaemonFlags(t *testing.T) {
 	}
 }
 
+// TestDaemonRefusesBadPeers pins that -peers takes only addresses a
+// router would take as shards: a list with a non-URL, an empty element
+// or a non-http scheme exits with status 2 before serving.
+func TestDaemonRefusesBadPeers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the daemon")
+	}
+	bin := buildMacd(t)
+	for _, peers := range []string{"not a url,,ftp://x", "not a url", "ftp://x", "http://127.0.0.1:1,", "http://127.0.0.1:1,,http://127.0.0.1:2"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		args := []string{"-addr", "127.0.0.1:0", "-peers", peers}
+		out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("macd %q: err %v, want exit status 2\n%s", args, err, out)
+		}
+		if !strings.Contains(string(out), "-peers") {
+			t.Errorf("macd %q: message does not name -peers:\n%s", args, out)
+		}
+	}
+}
+
 // TestRouterServesAndStops runs router mode through the serve loop: it
 // announces its address, answers /v1/healthz like a daemon and exits 0
 // on SIGTERM.

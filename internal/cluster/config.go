@@ -120,7 +120,7 @@ func (c Config) Validate() error {
 	}
 	seen := make(map[string]bool, len(c.Shards))
 	for _, s := range c.Shards {
-		if err := validateShardURL(s); err != nil {
+		if err := ValidateShardURL(s); err != nil {
 			return err
 		}
 		if seen[s] {
@@ -173,7 +173,10 @@ func (q Quota) validate(tenant string) error {
 	return nil
 }
 
-func validateShardURL(s string) error {
+// ValidateShardURL reports why s cannot address a daemon: it must be an
+// http(s)://host[:port] URL free of the characters the config syntax
+// reserves. Router shards and a daemon's -peers both pass through it.
+func ValidateShardURL(s string) error {
 	if strings.ContainsAny(s, ",| \t\n") {
 		return fmt.Errorf("cluster: shard URL %q contains reserved characters", s)
 	}

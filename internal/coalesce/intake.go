@@ -10,15 +10,18 @@ import (
 
 // intake is the skeleton every frontend in this package embeds: the
 // input FIFO Push fills, the fence held until earlier transactions
-// drain, the in-flight count, the statistics and the target pool.
-// Push, Inflight, Stats and Recycle come from here; Pending too, for
-// the frontends that hold nothing beyond the queue.
+// drain, the in-flight count, the statistics, the target pool and
+// Tick's result slice. Push, Inflight, Stats and Recycle come from
+// here; Pending too, for the frontends that hold nothing beyond the
+// queue.
 type intake struct {
 	q         *queue.FIFO[memreq.RawRequest]
 	heldFence bool
 	inflight  int
 	st        *memreq.Stats
 	pool      memreq.TargetPool
+	// out is Tick's result slice, reused from call to call.
+	out []memreq.Built
 }
 
 // newIntake returns an intake of depth queued requests whose target
@@ -58,6 +61,31 @@ func (in *intake) head() (memreq.RawRequest, bool) {
 	in.q.Pop()
 	in.heldFence = true
 	return memreq.RawRequest{}, false
+}
+
+// idle reports that head would report nothing and change nothing: the
+// queue is empty, or a held fence waits on transactions in flight.
+func (in *intake) idle() bool {
+	if in.heldFence {
+		return in.inflight != 0
+	}
+	return in.q.Empty()
+}
+
+// front returns the request head would return, when head would return
+// one without releasing or popping a fence.
+func (in *intake) front() (memreq.RawRequest, bool) {
+	if in.heldFence {
+		return memreq.RawRequest{}, false
+	}
+	r, ok := in.q.Peek()
+	return r, ok && !r.Fence
+}
+
+// one returns b alone as Tick's result, in the reused slice.
+func (in *intake) one(b memreq.Built) []memreq.Built {
+	in.out = append(in.out[:0], b)
+	return in.out
 }
 
 // target is r's response-routing entry.
@@ -154,12 +182,17 @@ func (in *intake) send(f *lineFill, r memreq.RawRequest, kind hmc.Kind, lineByte
 	}
 }
 
-// merge adds r to f when the span f was sent with covers r's Span and
-// f carries fewer than maxMerges targets. It reports whether r merged.
-func (f *lineFill) merge(r memreq.RawRequest, maxMerges int) bool {
+// fits reports whether r may merge into f: the span f was sent with
+// covers r's Span and f carries fewer than maxMerges targets.
+func (f *lineFill) fits(r memreq.RawRequest, maxMerges int) bool {
 	base, n := r.Span()
 	base &= addr.PhysMask
-	if 1+len(f.late) >= maxMerges || base < f.addr || base+uint64(n) > f.addr+uint64(f.bytes) {
+	return 1+len(f.late) < maxMerges && base >= f.addr && base+uint64(n) <= f.addr+uint64(f.bytes)
+}
+
+// merge adds r to f when it fits. It reports whether r merged.
+func (f *lineFill) merge(r memreq.RawRequest, maxMerges int) bool {
+	if !f.fits(r, maxMerges) {
 		return false
 	}
 	f.late = append(f.late, target(r))

@@ -89,14 +89,16 @@ type MemCache struct {
 	// when the top half of its hashed number falls below it.
 	threshold uint64
 
-	// fills holds the fill in flight for each line address; freeFill
-	// pools retired fills.
-	fills    map[uint64]*lineFill
+	// fills holds the line fills in flight, at most MaxFills and one
+	// per line; freeFill pools retired fills. A slice scan rather than a
+	// map keeps the churn of fills from ever allocating.
+	fills    []*lineFill
 	freeFill []*lineFill
 }
 
 var _ memreq.Coalescer = (*MemCache)(nil)
 var _ memreq.Recycler = (*MemCache)(nil)
+var _ memreq.Idler = (*MemCache)(nil)
 var _ obs.Attacher = (*MemCache)(nil)
 
 // NewMemCache builds the die-stacked frontend, returning an error on
@@ -116,7 +118,7 @@ func NewMemCache(cfg MemCacheConfig) (*MemCache, error) {
 		cfg:       cfg,
 		cache:     tags,
 		threshold: uint64(cfg.DirectFraction * float64(1<<32)),
-		fills:     make(map[uint64]*lineFill, cfg.MaxFills),
+		fills:     make([]*lineFill, 0, cfg.MaxFills),
 	}
 	mc.st.MemCache = &memreq.MemCacheStats{}
 	return mc, nil
@@ -134,6 +136,18 @@ func mix64(x uint64) uint64 {
 // partition.
 func (mc *MemCache) direct(a uint64) bool {
 	return mix64(addr.RowNumber(a))>>32 < mc.threshold
+}
+
+// fill returns the fill in flight for the line holding physical
+// address a, or nil.
+func (mc *MemCache) fill(a uint64) *lineFill {
+	line := a &^ uint64(mc.cfg.LineBytes-1)
+	for _, fe := range mc.fills {
+		if fe.addr == line {
+			return fe
+		}
+	}
+	return nil
 }
 
 // takeFill returns a pooled (or fresh) line fill.
@@ -160,7 +174,7 @@ func (mc *MemCache) Tick(now sim.Cycle) []memreq.Built {
 		return nil
 	}
 	if head.Atomic {
-		return []memreq.Built{mc.bypass(head)}
+		return mc.one(mc.bypass(head))
 	}
 
 	if mc.direct(head.Addr) {
@@ -168,11 +182,11 @@ func (mc *MemCache) Tick(now sim.Cycle) []memreq.Built {
 		b := mc.alone(head)
 		mc.st.MemCache.DirectAccesses++
 		mc.emit(&b)
-		return []memreq.Built{b}
+		return mc.one(b)
 	}
 
 	probe := head.Addr & addr.PhysMask
-	if fe := mc.fills[probe&^uint64(mc.cfg.LineBytes-1)]; fe != nil {
+	if fe := mc.fill(probe); fe != nil {
 		if fe.merge(head, mc.cfg.MaxMerges) {
 			// Hit under miss: ride the in-flight fill, no new traffic.
 			mc.q.Pop()
@@ -198,7 +212,7 @@ func (mc *MemCache) Tick(now sim.Cycle) []memreq.Built {
 		b := mc.alone(head)
 		mc.st.MemCache.Hits++
 		mc.emit(&b)
-		return []memreq.Built{b}
+		return mc.one(b)
 	}
 
 	// Miss: fetch the whole line (write-allocate).
@@ -206,9 +220,9 @@ func (mc *MemCache) Tick(now sim.Cycle) []memreq.Built {
 	fe := mc.takeFill()
 	b := mc.send(fe, head, hmc.Read, mc.cfg.LineBytes)
 	b.Handle = fe
-	mc.fills[fe.addr] = fe
+	mc.fills = append(mc.fills, fe)
 	mc.emit(&b)
-	out := []memreq.Built{b}
+	out := mc.one(b)
 
 	if evictedDirty {
 		// The victim line held stores: write it back. The transaction
@@ -219,8 +233,27 @@ func (mc *MemCache) Tick(now sim.Cycle) []memreq.Built {
 		}
 		mc.emit(&wb)
 		out = append(out, wb)
+		mc.out = out
 	}
 	return out
+}
+
+// Idle implements memreq.Idler, mirroring Tick's stalls: the queue is
+// idle, or its head waits on a fill it cannot merge onto, or on a full
+// fill table.
+func (mc *MemCache) Idle() bool {
+	if mc.idle() {
+		return true
+	}
+	head, ok := mc.front()
+	if !ok || head.Atomic || mc.direct(head.Addr) {
+		return false
+	}
+	probe := head.Addr & addr.PhysMask
+	if fe := mc.fill(probe); fe != nil {
+		return !fe.fits(head, mc.cfg.MaxMerges)
+	}
+	return len(mc.fills) >= mc.cfg.MaxFills && !mc.cache.Contains(probe)
 }
 
 // Completed frees the fill entry of a finished line fetch and folds any
@@ -230,7 +263,14 @@ func (mc *MemCache) Completed(b *memreq.Built) {
 	mc.complete()
 	if fe, ok := b.Handle.(*lineFill); ok {
 		fe.land(b)
-		delete(mc.fills, fe.addr)
+		for i, f := range mc.fills {
+			if f == fe {
+				last := len(mc.fills) - 1
+				mc.fills[i] = mc.fills[last]
+				mc.fills = mc.fills[:last]
+				break
+			}
+		}
 		mc.freeFill = append(mc.freeFill, fe)
 	}
 	mc.st.TargetsPerTx.Observe(uint64(len(b.Targets)))
@@ -243,10 +283,8 @@ func (mc *MemCache) CacheStats() cache.Stats { return mc.cache.Stats() }
 func (mc *MemCache) Reset() {
 	mc.reset()
 	mc.cache.Reset()
-	for line, fe := range mc.fills {
-		mc.freeFill = append(mc.freeFill, fe)
-		delete(mc.fills, line)
-	}
+	mc.freeFill = append(mc.freeFill, mc.fills...)
+	mc.fills = mc.fills[:0]
 	mc.st.MemCache = &memreq.MemCacheStats{}
 }
 

@@ -80,6 +80,7 @@ type MSHR struct {
 
 var _ memreq.Coalescer = (*MSHR)(nil)
 var _ memreq.Recycler = (*MSHR)(nil)
+var _ memreq.Idler = (*MSHR)(nil)
 
 // NewMSHR builds the conventional coalescer, panicking on bad config.
 func NewMSHR(cfg MSHRConfig) *MSHR {
@@ -161,7 +162,7 @@ func (m *MSHR) Tick(now sim.Cycle) []memreq.Built {
 		return nil
 	}
 	if head.Atomic {
-		return []memreq.Built{m.bypass(head)}
+		return m.one(m.bypass(head))
 	}
 
 	key := m.lineKey(head.Addr, head.Store)
@@ -183,7 +184,24 @@ func (m *MSHR) Tick(now sim.Cycle) []memreq.Built {
 	b := m.send(&e.lineFill, head, head.Kind(), m.cfg.LineBytes)
 	b.Handle = e
 	m.emit(&b)
-	return []memreq.Built{b}
+	return m.one(b)
+}
+
+// Idle implements memreq.Idler, mirroring Tick's stalls: the queue is
+// idle, or its head waits on a register it cannot merge into, or on a
+// full register file.
+func (m *MSHR) Idle() bool {
+	if m.idle() {
+		return true
+	}
+	head, ok := m.front()
+	if !ok || head.Atomic {
+		return false
+	}
+	if e := m.lookup(m.lineKey(head.Addr, head.Store)); e != nil {
+		return !e.fits(head, m.cfg.MaxMerges)
+	}
+	return m.count >= m.cfg.Entries
 }
 
 // Completed frees the MSHR entry of the finished transaction and folds

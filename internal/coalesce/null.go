@@ -52,6 +52,7 @@ type Null struct {
 var (
 	_ memreq.Coalescer = (*Null)(nil)
 	_ memreq.Recycler  = (*Null)(nil)
+	_ memreq.Idler     = (*Null)(nil)
 )
 
 // NewNull builds the pass-through path.
@@ -67,7 +68,7 @@ func NewNull(cfg NullConfig) *Null {
 
 // Tick dispatches up to IssuePerCycle queued requests as transactions.
 func (n *Null) Tick(now sim.Cycle) []memreq.Built {
-	var out []memreq.Built
+	out := n.out[:0]
 	for len(out) < n.cfg.IssuePerCycle {
 		r, ok := n.head()
 		if !ok {
@@ -82,8 +83,13 @@ func (n *Null) Tick(now sim.Cycle) []memreq.Built {
 		n.st.TargetsPerTx.Observe(1)
 		out = append(out, b)
 	}
+	n.out = out
 	return out
 }
+
+// Idle implements memreq.Idler: Tick dispatches nothing while the
+// queue is idle.
+func (n *Null) Idle() bool { return n.idle() }
 
 // Completed signals the completion of one emitted transaction.
 func (n *Null) Completed(*memreq.Built) { n.complete() }

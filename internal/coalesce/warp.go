@@ -91,6 +91,7 @@ type Warp struct {
 
 var _ memreq.Coalescer = (*Warp)(nil)
 var _ memreq.Recycler = (*Warp)(nil)
+var _ memreq.Idler = (*Warp)(nil)
 var _ obs.Attacher = (*Warp)(nil)
 
 // NewWarp builds the SIMT frontend, returning an error on bad config.
@@ -142,7 +143,7 @@ func (w *Warp) Tick(now sim.Cycle) []memreq.Built {
 		if head.Atomic {
 			b := w.bypass(head)
 			w.st.TargetsPerTx.Observe(1)
-			return []memreq.Built{b}
+			return w.one(b)
 		}
 		w.gather(head.Store)
 	}
@@ -234,7 +235,13 @@ func (w *Warp) emitMaskGroup() []memreq.Built {
 		w.st.Warp.MasksPerWarp.Observe(ws.masks)
 		w.cur = nil
 	}
-	return []memreq.Built{b}
+	return w.one(b)
+}
+
+// Idle implements memreq.Idler: no warp is dispatching, and either the
+// scoreboard is full or the queue is idle.
+func (w *Warp) Idle() bool {
+	return w.cur == nil && (w.live >= w.cfg.MaxWarps || w.idle())
 }
 
 // Completed signals one transaction done; the last completion of a

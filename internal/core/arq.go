@@ -93,7 +93,7 @@ type Aggregator struct {
 	win Window
 
 	// ring is the fixed entry storage; logical position i lives at
-	// ring[(head+i)%Entries] and count slots are occupied.
+	// ring[(head+i) mod Entries] and count slots are occupied.
 	ring  []arqEntry
 	head  int
 	count int
@@ -158,9 +158,15 @@ func (a *Aggregator) Free() int { return a.cfg.Entries - a.count }
 // Full reports whether no new entry can be allocated.
 func (a *Aggregator) Full() bool { return a.count == a.cfg.Entries }
 
-// at returns the entry at logical FIFO position i (0 = head).
+// at returns the entry at logical FIFO position i (0 = head), for
+// 0 <= i < Entries. The ring wraps with one conditional subtract, not
+// a division by a length known only at run time.
 func (a *Aggregator) at(i int) *arqEntry {
-	return &a.ring[(a.head+i)%len(a.ring)]
+	j := a.head + i
+	if j >= len(a.ring) {
+		j -= len(a.ring)
+	}
+	return &a.ring[j]
 }
 
 // headEntry returns the head entry without removing it; the caller
@@ -170,7 +176,7 @@ func (a *Aggregator) headEntry() *arqEntry { return &a.ring[a.head] }
 // alloc claims the tail slot, reusing its target storage, and returns
 // it zeroed.
 func (a *Aggregator) alloc() *arqEntry {
-	e := &a.ring[(a.head+a.count)%len(a.ring)]
+	e := a.at(a.count)
 	a.count++
 	*e = arqEntry{targets: e.targets[:0]}
 	return e
@@ -211,7 +217,9 @@ func (a *Aggregator) popHead() arqEntry {
 	} else {
 		head.targets = nil
 	}
-	a.head = (a.head + 1) % len(a.ring)
+	if a.head++; a.head == len(a.ring) {
+		a.head = 0
+	}
 	a.count--
 	if head.fence {
 		a.fences--
@@ -398,10 +406,15 @@ func (a *Aggregator) PeekFence() bool {
 // once per Tick, so OccupancyMean is a true time average — the old
 // push-time sampling was biased toward push-heavy phases and read 0
 // during drain.
-func (a *Aggregator) SampleOccupancy() {
+func (a *Aggregator) SampleOccupancy() { a.SampleOccupancyN(1) }
+
+// SampleOccupancyN records k observations of the current occupancy:
+// what k cycles of SampleOccupancy record while the ARQ does not move.
+// A node that skips quiet cycles charges them here in bulk.
+func (a *Aggregator) SampleOccupancyN(k uint64) {
 	a.lastSample = a.count
-	a.occupancySum += uint64(a.count)
-	a.occupancySamples++
+	a.occupancySum += uint64(a.count) * k
+	a.occupancySamples += k
 }
 
 // OccupancyMean returns the mean ARQ occupancy over sampled cycles.

@@ -77,6 +77,8 @@ type MAC struct {
 	// transactions to drain.
 	heldFence bool
 	inflight  int
+	// out is Tick's result slice, reused from call to call.
+	out []memreq.Built
 
 	st *memreq.Stats
 	// obs is the run's observability handle (nil when disabled).
@@ -85,6 +87,7 @@ type MAC struct {
 
 var (
 	_ memreq.Coalescer = (*MAC)(nil)
+	_ memreq.Idler     = (*MAC)(nil)
 	_ obs.Attacher     = (*MAC)(nil)
 )
 
@@ -159,8 +162,12 @@ func (m *MAC) Push(r memreq.RawRequest, now sim.Cycle) bool {
 // builder, bypasses directly to memory, or (for fences) holds until
 // the outstanding count drains.
 func (m *MAC) Tick(now sim.Cycle) []memreq.Built {
-	var out []memreq.Built
+	m.out = m.tick(now, m.out[:0])
+	return m.out
+}
 
+// tick is Tick appending to out.
+func (m *MAC) tick(now sim.Cycle, out []memreq.Built) []memreq.Built {
 	// Occupancy is sampled here — once per tick — rather than inside
 	// Push, so drain phases weigh into the mean (the push-time
 	// sampling bias fix).
@@ -213,6 +220,19 @@ func (m *MAC) Tick(now sim.Cycle) []memreq.Built {
 		}
 	}
 	return out
+}
+
+// Idle implements memreq.Idler. With the builder empty, Tick only
+// samples occupancy while the ARQ is empty, or while a held fence waits
+// on transactions in flight.
+func (m *MAC) Idle() bool {
+	if m.bld.Busy() {
+		return false
+	}
+	if m.heldFence {
+		return m.inflight > 0
+	}
+	return m.agg.Len() == 0
 }
 
 // direct builds the transaction for a bypassed or atomic entry: the

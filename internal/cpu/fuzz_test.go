@@ -27,23 +27,27 @@ func coverageEvent(op trace.Op, thread uint8, a uint16, size uint8) []byte {
 func coverageTrace(data []byte) *trace.Trace {
 	tr := trace.NewTrace(coverageThreads)
 	for i := 0; i+4 <= len(data) && i < 4*coverageEvents; i += 4 {
-		b := data[i : i+4]
-		e := trace.Event{Thread: uint16(b[0]>>3) % coverageThreads, Op: trace.Load, Gap: b[1] >> 4}
-		switch b[0] & 7 {
-		case 4, 5:
-			e.Op = trace.Store
-		case 6:
-			e.Op = trace.Atomic
-		case 7:
-			e.Op = trace.Fence
-		}
-		if e.Op != trace.Fence {
-			e.Addr = uint64(b[2]) | uint64(b[3])<<8
-			e.Size = 1 + b[1]&15
-		}
-		tr.Append(e)
+		tr.Append(coverageDecode(data[i : i+4]))
 	}
 	return tr
+}
+
+// coverageDecode decodes one four-byte event of coverageTrace.
+func coverageDecode(b []byte) trace.Event {
+	e := trace.Event{Thread: uint16(b[0]>>3) % coverageThreads, Op: trace.Load, Gap: b[1] >> 4}
+	switch b[0] & 7 {
+	case 4, 5:
+		e.Op = trace.Store
+	case 6:
+		e.Op = trace.Atomic
+	case 7:
+		e.Op = trace.Fence
+	}
+	if e.Op != trace.Fence {
+		e.Addr = uint64(b[2]) | uint64(b[3])<<8
+		e.Size = 1 + b[1]&15
+	}
+	return e
 }
 
 // FuzzFrontendCoverage runs a short request stream through every

@@ -25,6 +25,7 @@ import (
 	"mac3d/internal/memreq"
 	"mac3d/internal/noc"
 	"mac3d/internal/obs"
+	"mac3d/internal/queue"
 	"mac3d/internal/sim"
 	"mac3d/internal/stats"
 	"mac3d/internal/trace"
@@ -112,15 +113,34 @@ type threadState struct {
 	stallLSQ    uint64 // load/store queue full
 	stallRouter uint64 // request router queue full
 	stallFence  uint64 // fence waiting for own outstanding requests
+	// cause is what the thread's last quiet cycle did, which every
+	// skipped cycle repeats.
+	cause cause
 	// latency accumulates per-request issue-to-retire latency.
 	latency stats.Histogram
 	// issuedAt maps an in-flight tag to its issue cycle.
-	issuedAt map[uint16]sim.Cycle
+	issuedAt queue.Tags[sim.Cycle]
 }
 
 func (t *threadState) done() bool {
 	return t.pc >= len(t.events) && t.outstanding == 0 && t.gapLeft == 0
 }
+
+// cause is what a thread did on a cycle that changed nothing but its
+// counters.
+type cause uint8
+
+const (
+	// causeNone: an SPM access in flight, or no work left.
+	causeNone cause = iota
+	// causeGap: one non-memory instruction retired.
+	causeGap
+	// causeLSQ, causeRouter and causeFence: a stall cycle charged to
+	// stallLSQ, stallRouter or stallFence.
+	causeLSQ
+	causeRouter
+	causeFence
+)
 
 // Result summarizes a completed node run.
 type Result struct {
@@ -239,7 +259,10 @@ type Node struct {
 	// Builts hand their target slabs back, keeping the pop path
 	// allocation-free.
 	rec memreq.Recycler
-	dev *hmc.Device
+	// idler is coal's idleness report when it offers one; without it a
+	// ticked cycle is never quiet.
+	idler memreq.Idler
+	dev   *hmc.Device
 
 	// id and nodes are the node's place in a NUMA system (0 and 1 on
 	// a single node); port returns targets homed on other nodes.
@@ -260,7 +283,18 @@ type Node struct {
 	resp *core.ResponseRouter
 	// deferred holds built transactions refused by a full target
 	// buffer, resubmitted in order once entries free up.
-	deferred []memreq.Built
+	deferred []*memreq.Built
+	// free holds delivered transactions' slots for reuse: the node
+	// copies each Built that Tick returns into a slot, because the
+	// response router keeps a pointer to it until delivery.
+	free []*memreq.Built
+
+	// busy records that the current cycle changed more than per-cycle
+	// counters; Run skips ahead after a cycle that leaves it false.
+	busy bool
+	// everyCycle makes Run tick every cycle. A tile sets it, since the
+	// multi-node system drives it; tests set it to check the skip.
+	everyCycle bool
 
 	// obs is the run's observability handle; nil when disabled, and
 	// every use is nil-safe so the hot path pays only pointer checks.
@@ -343,17 +377,20 @@ func newNode(cfg Config, coal memreq.Coalescer, dev *hmc.Device, port RemotePort
 	}
 	mac, _ := coal.(*core.MAC)
 	rec, _ := coal.(memreq.Recycler)
+	idler, _ := coal.(memreq.Idler)
 	return &Node{
 		cfg:         cfg,
 		router:      router,
 		coal:        coal,
 		mac:         mac,
 		rec:         rec,
+		idler:       idler,
 		dev:         dev,
 		id:          cfg.Router.NodeID,
 		nodes:       cfg.Router.Nodes,
 		port:        port,
 		rotateIssue: rotateIssue,
+		everyCycle:  !rotateIssue,
 		resp:        core.NewResponseRouter(cfg.TargetBufferDepth),
 		watchdog:    sim.NewWatchdog(cfg.StallLimit),
 	}, nil
@@ -428,7 +465,7 @@ func (n *Node) Load(tr *trace.Trace) error {
 	n.issueRR = 0
 	for t := n.id; t < len(tr.Threads); t += n.nodes {
 		th := tr.Threads[t]
-		ts := &threadState{events: th, issuedAt: make(map[uint16]sim.Cycle)}
+		ts := &threadState{events: th}
 		if len(th) > 0 {
 			ts.gapLeft = uint32(th[0].Gap)
 		}
@@ -440,8 +477,14 @@ func (n *Node) Load(tr *trace.Trace) error {
 // Run replays the loaded trace to completion and returns the results.
 // A run that stops making forward progress for Config.StallLimit
 // cycles aborts with a *StallError carrying a diagnostic dump.
+//
+// After a quiet cycle, one that changed nothing but per-cycle counters,
+// Run jumps to the node's next event and charges the skipped cycles'
+// counters in bulk (sleep), so a saturated node costs one iteration per
+// event rather than one per cycle. The result is the same either way.
 func (n *Node) Run() (*Result, error) {
 	for now := sim.Cycle(0); now < n.cfg.MaxCycles; now++ {
+		n.busy = false
 		n.tickChaos(now)
 		n.Issue(now)
 		n.Serve(now)
@@ -452,8 +495,74 @@ func (n *Node) Run() (*Result, error) {
 		if n.watchdog.Check(now, n.progress) {
 			return nil, n.Stall(now)
 		}
+		if !n.busy && !n.everyCycle {
+			now = n.sleep(now)
+		}
 	}
 	return nil, fmt.Errorf("cpu: run exceeded MaxCycles=%d (deadlock?)", n.cfg.MaxCycles)
+}
+
+// sleep skips the cycles after the quiet cycle now up to the node's
+// next event: nothing moves in them, so each would repeat cycle now's
+// counters exactly. It charges those counters in bulk and returns the
+// last skipped cycle, or now when the next event is at now+1 or the
+// device cannot name it.
+func (n *Node) sleep(now sim.Cycle) sim.Cycle {
+	h, ok := n.dev.NextEvent()
+	if !ok {
+		return now
+	}
+	h = min(h, n.cfg.MaxCycles)
+	if iv := n.obs.Rec().Interval(); iv > 0 {
+		// Every sample cycle runs in full, so samples see the state an
+		// every-cycle run sees.
+		h = min(h, sim.Cycle((uint64(now)/iv+1)*iv))
+	}
+	inGap := false
+	for _, t := range n.threads {
+		switch {
+		case t.cause == causeGap:
+			h = min(h, now+sim.Cycle(t.gapLeft)+1)
+			inGap = true
+		case t.spmBusy != 0:
+			h = min(h, t.spmBusy)
+		}
+	}
+	if !inGap {
+		// Progress stands still, so the watchdog may fire in the gap:
+		// stop at that cycle, which then stalls exactly as it would.
+		h = min(h, n.watchdog.FiresAt())
+	}
+	if h <= now+1 {
+		return now
+	}
+	k := uint64(h - now - 1)
+	for _, t := range n.threads {
+		switch t.cause {
+		case causeGap:
+			t.gapLeft -= uint32(k)
+			t.retired += k
+			n.progress += k
+		case causeLSQ:
+			t.stallLSQ += k
+		case causeRouter:
+			t.stallRouter += k
+		case causeFence:
+			t.stallFence += k
+		}
+	}
+	if n.router.Pending() > 0 {
+		// The router offered its head every cycle and was refused.
+		n.coal.Stats().PushRejects += k
+	}
+	if n.mac != nil {
+		n.mac.Aggregator().SampleOccupancyN(k)
+	}
+	if n.rotateIssue && len(n.threads) > 0 {
+		n.issueRR = int((uint64(n.issueRR) + k) % uint64(len(n.threads)))
+	}
+	n.watchdog.Check(h-1, n.progress)
+	return h - 1
 }
 
 // Issue is the first half of a node cycle: poisoned requests whose
@@ -467,7 +576,9 @@ func (n *Node) Issue(now sim.Cycle) {
 // coalescer one raw request (§4.1), built transactions go to the
 // device, and completed responses are routed back to their threads.
 func (n *Node) Serve(now sim.Cycle) {
-	n.router.DrainToMAC(n.coal, now)
+	if n.router.DrainToMAC(n.coal, now) {
+		n.busy = true
+	}
 	n.tickCoalescer(now)
 	n.deliverResponses(now)
 }
@@ -490,6 +601,7 @@ func (n *Node) tickChaos(now sim.Cycle) {
 	if n.chaos == nil {
 		return
 	}
+	n.busy = true // the engine draws every cycle
 	n.chaos.Tick(now)
 	if v, until, ok := n.chaos.TakeVaultStall(); ok {
 		n.dev.StallVault(v, until)
@@ -510,6 +622,7 @@ func (n *Node) pumpRetries(now sim.Cycle) {
 	if len(n.retryPend) == 0 {
 		return
 	}
+	n.busy = true
 	keep := n.retryPend[:0]
 	for _, p := range n.retryPend {
 		if p.due > now || !n.router.OfferLocal(p.req) {
@@ -539,19 +652,25 @@ func (n *Node) tickCores(now sim.Cycle) {
 	}
 }
 
+// tickThread advances one thread by one cycle. A cycle that changes
+// more than the thread's counters marks the node busy; every other
+// cycle records its cause for sleep to repeat.
 func (n *Node) tickThread(t *threadState, now sim.Cycle) {
+	t.cause = causeNone
 	// Finish an SPM access in flight.
 	if t.spmBusy != 0 {
 		if now < t.spmBusy {
 			return
 		}
 		t.spmBusy = 0
+		n.busy = true
 	}
 	// Execute non-memory instructions one per cycle.
 	if t.gapLeft > 0 {
 		t.gapLeft--
 		t.retired++
 		n.progress++
+		t.cause = causeGap
 		return
 	}
 	if t.pc >= len(t.events) {
@@ -575,10 +694,12 @@ func (n *Node) tickThread(t *threadState, now sim.Cycle) {
 		// global stream.
 		if t.outstanding > 0 {
 			t.stallFence++
+			t.cause = causeFence
 			return
 		}
 		if !n.router.OfferLocal(memreq.RawRequest{Fence: true, Thread: e.Thread}) {
 			t.stallRouter++
+			t.cause = causeRouter
 			return
 		}
 		t.retired++
@@ -590,6 +711,7 @@ func (n *Node) tickThread(t *threadState, now sim.Cycle) {
 	// Memory request: needs an LSQ slot and router space.
 	if t.outstanding >= n.cfg.MaxOutstanding {
 		t.stallLSQ++
+		t.cause = causeLSQ
 		return
 	}
 	tag := t.nextTag
@@ -603,11 +725,12 @@ func (n *Node) tickThread(t *threadState, now sim.Cycle) {
 	}
 	if !n.router.OfferLocal(req) {
 		t.stallRouter++
+		t.cause = causeRouter
 		return
 	}
 	t.nextTag++
 	t.outstanding++
-	t.issuedAt[tag] = now
+	t.issuedAt.Put(uint64(tag), now)
 	t.retired++
 	n.progress++
 	n.memRequests++
@@ -621,8 +744,10 @@ func (n *Node) tickThread(t *threadState, now sim.Cycle) {
 	n.advance(t)
 }
 
-// advance moves a thread to its next event, loading its gap count.
+// advance moves a thread to its next event, loading its gap count:
+// the thread issued, so the cycle is busy.
 func (n *Node) advance(t *threadState) {
+	n.busy = true
 	t.pc++
 	if t.pc < len(t.events) {
 		t.gapLeft = uint32(t.events[t.pc].Gap)
@@ -642,6 +767,7 @@ func (n *Node) tickCoalescer(now sim.Cycle) {
 		return
 	}
 	if len(n.deferred) > 0 {
+		n.busy = true // a refused Register counts a reject
 		n.submitDeferred(now)
 		if len(n.deferred) > 0 {
 			// Still blocked on the target buffer: don't pull more
@@ -654,18 +780,45 @@ func (n *Node) tickCoalescer(now sim.Cycle) {
 		n.sampleCoalescer()
 		return
 	}
-	for _, b := range n.coal.Tick(now) {
-		bb := b
-		tag, ok := n.resp.Register(&bb, now)
-		if !ok {
-			n.deferred = append(n.deferred, bb)
-			continue
-		}
-		n.bindTargets(&bb, tag, now)
-		bb.Span.MarkSubmit(uint64(now))
-		n.dev.Submit(bb.Req, now)
-		n.progress++
+	// Ask before Tick: a Tick that changes state may leave the
+	// coalescer idle, and the cycle was still busy.
+	if n.everyCycle || n.idler == nil || !n.idler.Idle() {
+		n.busy = true
 	}
+	out := n.coal.Tick(now)
+	for i := range out {
+		b := n.hold(&out[i])
+		if !n.submit(b, now) {
+			n.deferred = append(n.deferred, b)
+		}
+	}
+}
+
+// hold copies b, which lives in Tick's reused slice, into a free slot.
+func (n *Node) hold(b *memreq.Built) *memreq.Built {
+	var s *memreq.Built
+	if k := len(n.free); k > 0 {
+		s = n.free[k-1]
+		n.free = n.free[:k-1]
+	} else {
+		s = new(memreq.Built)
+	}
+	*s = *b
+	return s
+}
+
+// submit registers b in the target buffer and sends it to the device.
+// It reports false when the full buffer refuses it.
+func (n *Node) submit(b *memreq.Built, now sim.Cycle) bool {
+	tag, ok := n.resp.Register(b, now)
+	if !ok {
+		return false
+	}
+	n.bindTargets(b, tag, now)
+	b.Span.MarkSubmit(uint64(now))
+	n.dev.Submit(b.Req, now)
+	n.progress++
+	return true
 }
 
 // bindTargets records in the ledger which device transaction carries
@@ -696,16 +849,10 @@ func (n *Node) sampleCoalescer() {
 // target buffer, in their original order.
 func (n *Node) submitDeferred(now sim.Cycle) {
 	for len(n.deferred) > 0 && n.dev.CanAccept() {
-		bb := n.deferred[0]
-		tag, ok := n.resp.Register(&bb, now)
-		if !ok {
+		if !n.submit(n.deferred[0], now) {
 			return
 		}
-		n.bindTargets(&bb, tag, now)
-		bb.Span.MarkSubmit(uint64(now))
-		n.dev.Submit(bb.Req, now)
-		n.progress++
-		n.deferred = n.deferred[1:]
+		n.deferred = n.deferred[:copy(n.deferred, n.deferred[1:])]
 	}
 }
 
@@ -717,7 +864,11 @@ func (n *Node) submitDeferred(now sim.Cycle) {
 // under fault injection they are expected events, and a simulator that
 // dies on them cannot report what went wrong.
 func (n *Node) deliverResponses(now sim.Cycle) {
-	for _, resp := range n.chaos.Filter(now, n.dev.Tick(now)) {
+	resps := n.chaos.Filter(now, n.dev.Tick(now))
+	if len(resps) > 0 {
+		n.busy = true
+	}
+	for _, resp := range resps {
 		b, status := n.resp.Deliver(resp)
 		switch status {
 		case core.RespDuplicate, core.RespUnknown:
@@ -757,10 +908,12 @@ func (n *Node) deliverResponses(now sim.Cycle) {
 		}
 		// Every target has been consumed (retired or handed to the
 		// port) and the span recorded: hand the transaction's slab back
-		// to the coalescer.
+		// to the coalescer, and its slot to the free list.
 		if n.rec != nil {
 			n.rec.Recycle(b)
 		}
+		*b = memreq.Built{}
+		n.free = append(n.free, b)
 	}
 }
 
@@ -813,9 +966,8 @@ func (n *Node) Retire(tgt memreq.Target, poisoned bool, now sim.Cycle) {
 	if n.retry.Enabled() {
 		delete(n.inflightReq, reqKey{tgt.Thread, tgt.Tag})
 	}
-	if issue, ok := t.issuedAt[tgt.Tag]; ok {
+	if issue, ok := t.issuedAt.Take(uint64(tgt.Tag)); ok {
 		t.latency.Observe(uint64(now - issue))
-		delete(t.issuedAt, tgt.Tag)
 	}
 }
 

@@ -508,6 +508,21 @@ func (d *Device) Tick(now sim.Cycle) []Response {
 	return out
 }
 
+// NextEvent returns the earliest cycle at which Tick returns a
+// response, or sim.Never when nothing is in flight. ok is false when
+// the device cannot tell without ticking every cycle: a routed cube
+// moves flits on each one, and fault injection charges token stalls on
+// every CanAccept. Until that cycle, CanAccept keeps its answer.
+func (d *Device) NextEvent() (at sim.Cycle, ok bool) {
+	if d.cube != nil || d.faultsOn {
+		return 0, false
+	}
+	if d.pending.Len() == 0 {
+		return sim.Never, true
+	}
+	return d.pending.Min().Done, true
+}
+
 // Pending returns the number of in-flight accesses, including any
 // still crossing the intra-cube fabric.
 func (d *Device) Pending() int {

@@ -149,10 +149,14 @@ type Coalescer interface {
 	// the request was accepted.
 	Push(r RawRequest, now sim.Cycle) bool
 	// Tick advances internal pipelines and returns the transactions
-	// that completed building this cycle, in issue order.
+	// that completed building this cycle, in issue order. The slice is
+	// the coalescer's own and is valid only until the next Tick or
+	// Reset: callers consume it (or copy what they keep) within the
+	// cycle. Reusing it keeps a steady-state Tick free of allocations.
 	Tick(now sim.Cycle) []Built
 	// Completed notifies the coalescer that one previously emitted
-	// transaction has fully completed (response routed).
+	// transaction has fully completed (response routed). b is the
+	// caller's copy of the transaction and is valid only for the call.
 	Completed(b *Built)
 	// Pending returns the number of raw requests accepted but not
 	// yet emitted in a Built transaction, plus queued fences.
@@ -175,6 +179,17 @@ type Coalescer interface {
 // and its Targets slice must not be touched.
 type Recycler interface {
 	Recycle(b *Built)
+}
+
+// Idler is an optional interface a Coalescer may implement, like
+// Recycler. Idle reports that Tick, called now and on every cycle until
+// the next Push or Completed, builds nothing and changes nothing except
+// occupancy sampling. It is a pure, allocation-free predicate. The node
+// asks it before Tick; a true answer lets the node skip the cycles up
+// to its next event instead of ticking through them. A coalescer that
+// does not implement it is ticked every cycle.
+type Idler interface {
+	Idle() bool
 }
 
 // TargetPool is the free list of target slices a coalescer hands out

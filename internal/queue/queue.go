@@ -6,8 +6,9 @@
 // The queues keep occupancy statistics so the experiment harness can
 // report contention and sizing data without extra instrumentation.
 //
-// Heap is the package's other container: the binary min-heap behind
-// the device's response queue and the ideal crossbar's delivery queue.
+// Heap is the binary min-heap behind the device's response queue and
+// the ideal crossbar's delivery queue, and Tags the table of tags in
+// flight behind the LSQs and the response router.
 package queue
 
 import "fmt"

@@ -8,6 +8,10 @@ import "fmt"
 // configuration time.
 type Cycle uint64
 
+// Never is a cycle no run reaches: the next event of a component with
+// nothing pending.
+const Never = ^Cycle(0)
+
 // Clock tracks the current simulation cycle and converts between wall
 // time and cycles for a fixed frequency.
 type Clock struct {

@@ -45,6 +45,16 @@ func (w *Watchdog) Check(now Cycle, work uint64) bool {
 	return false
 }
 
+// FiresAt returns the cycle at which Check fires if the work counter
+// stays where it is, or Never for a nil or disabled watchdog. A loop
+// that skips cycles must not skip past it.
+func (w *Watchdog) FiresAt() Cycle {
+	if w == nil || w.limit == 0 {
+		return Never
+	}
+	return w.lastProgress + w.limit + 1
+}
+
 // Fired reports whether the watchdog has ever fired.
 func (w *Watchdog) Fired() bool { return w != nil && w.fired }
 

@@ -14,13 +14,12 @@ import (
 //
 //	magic   "MACT" (4 bytes)
 //	version u8 (currently 1)
-//	threads uvarint
-//	per thread: count uvarint, then count records
-//	record: op u8, size u8, core u8, gap u8, thread u16 LE, addr uvarint
+//	records until end of stream, each:
+//	        op u8, size u8, core u8, gap u8, thread u16 LE, addr uvarint
 //
 // The format streams: Writer emits records as they arrive and patches
-// nothing, so the per-thread layout is (thread,u16) tagged per record
-// instead; readers rebuild the per-thread streams.
+// nothing, so there is no thread or record count up front. Each record
+// carries its thread; readers rebuild the per-thread streams.
 
 const (
 	magic   = "MACT"
@@ -102,6 +101,10 @@ func (w *Writer) Flush() error {
 type Reader struct {
 	r       *bufio.Reader
 	started bool
+	// fixed holds a record's fixed-width head; kept here rather than
+	// on the stack, where io.ReadFull would move it to the heap on
+	// every record.
+	fixed [6]byte
 }
 
 // NewReader returns a Reader consuming r.
@@ -128,7 +131,7 @@ func (r *Reader) Read() (Event, error) {
 		}
 		r.started = true
 	}
-	var fixed [6]byte
+	fixed := &r.fixed
 	if _, err := io.ReadFull(r.r, fixed[:1]); err != nil {
 		if err == io.EOF {
 			return Event{}, io.EOF

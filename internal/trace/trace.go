@@ -83,12 +83,19 @@ func NewTrace(n int) *Trace {
 func (t *Trace) NumThreads() int { return len(t.Threads) }
 
 // Append adds an event to its thread's stream, growing the thread table
-// if needed.
+// if needed. A full stream doubles: append's gentler growth for large
+// slices copies about five times the final bytes.
 func (t *Trace) Append(e Event) {
 	for int(e.Thread) >= len(t.Threads) {
 		t.Threads = append(t.Threads, nil)
 	}
-	t.Threads[e.Thread] = append(t.Threads[e.Thread], e)
+	th := t.Threads[e.Thread]
+	if len(th) == cap(th) {
+		grown := make([]Event, len(th), max(2*cap(th), 256))
+		copy(grown, th)
+		th = grown
+	}
+	t.Threads[e.Thread] = append(th, e)
 }
 
 // Len returns the total number of events across all threads.

@@ -263,3 +263,39 @@ func TestParseTextErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestReadTraceAllocations pins the decoder's allocations: a fixed
+// number per thread stream as it doubles, none per record.
+func TestReadTraceAllocations(t *testing.T) {
+	const threads, perThread = 4, 20000
+	tr := NewTrace(threads)
+	for i := 0; i < perThread; i++ {
+		for th := 0; th < threads; th++ {
+			tr.Append(Event{Thread: uint16(th), Addr: uint64(i) * 64, Size: 8, Gap: uint8(i), Op: Op(i % int(numOps))})
+		}
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	if err := w.WriteTrace(tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	var got *Trace
+	allocs := testing.AllocsPerRun(3, func() {
+		var err error
+		if got, err = NewReader(bytes.NewReader(data)).ReadTrace(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got.Len() != threads*perThread {
+		t.Fatalf("decoded %d events, want %d", got.Len(), threads*perThread)
+	}
+	t.Logf("decoding %d events: %v allocations", threads*perThread, allocs)
+	// Per thread, doubling from 256 to 32768 slots is 8 allocations.
+	if max := float64(threads*8 + 16); allocs > max {
+		t.Fatalf("decoding %d events made %v allocations, want at most %v", threads*perThread, allocs, max)
+	}
+}

@@ -120,13 +120,21 @@ func Register(name string, ctor func() Kernel) {
 	registry[name] = ctor
 }
 
+// Check reports New's error for a name no kernel is registered under,
+// without building the kernel.
+func Check(name string) error {
+	if _, ok := registry[name]; !ok {
+		return fmt.Errorf("workloads: unknown kernel %q (have %v)", name, Names())
+	}
+	return nil
+}
+
 // New returns a fresh instance of the named kernel.
 func New(name string) (Kernel, error) {
-	ctor, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("workloads: unknown kernel %q (have %v)", name, Names())
+	if err := Check(name); err != nil {
+		return nil, err
 	}
-	return ctor(), nil
+	return registry[name](), nil
 }
 
 // Names lists the registered kernels in sorted order.

@@ -310,7 +310,7 @@ func (o RunOptions) lower(named bool) (cpu.RunConfig, error) {
 		if o.Workload == "" {
 			return cpu.RunConfig{}, fmt.Errorf("mac3d: RunOptions.Workload is required")
 		}
-		if _, err := workloads.New(o.Workload); err != nil {
+		if err := workloads.Check(o.Workload); err != nil {
 			return cpu.RunConfig{}, fmt.Errorf("mac3d: %w", err)
 		}
 		// A scale without a name is not one of the three size classes.
